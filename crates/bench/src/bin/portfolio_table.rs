@@ -111,8 +111,8 @@ fn main() {
         let d_single = start.elapsed();
         assert!(!r.outcome.is_colorable());
 
-        let s2 = simulate_portfolio(g, width, &p2, &config);
-        let s3 = simulate_portfolio(g, width, &p3, &config);
+        let s2 = simulate_portfolio(g, width, &p2, &config, RunBudget::default());
+        let s3 = simulate_portfolio(g, width, &p3, &config, RunBudget::default());
         let winner3 = s3.strategy().expect("portfolio decides");
 
         t_single += d_single;
@@ -254,7 +254,7 @@ fn main() {
         "portfolio-3 speedup vs best single: {}   (paper: 2.30x)",
         fmt_speedup(t_single, t_p3)
     );
-    println!("\n(The threaded first-answer-wins runner `run_portfolio` implements the");
+    println!("\n(The threaded first-answer-wins runner `run_portfolio_opts` implements the");
     println!(" real mechanism and is exercised by `examples/portfolio.rs` and tests;");
     println!(" its wall time equals the simulated time given one core per member.)");
 }

@@ -29,8 +29,8 @@
 //!   — sound to import in any sibling cube.
 //!
 //! Observability mirrors the portfolio: a `conquer` root span with one
-//! `cube` child per conquered cube (solver events bridged via
-//! [`TraceObserver`]), and `conquer.cubes` / `conquer.refuted` /
+//! `cube` child per conquered cube (solver events bridged by the cube's
+//! [`Telemetry::member`] scope), and `conquer.cubes` / `conquer.refuted` /
 //! `conquer.stolen` counters plus a `conquer.cube_conflicts` histogram
 //! in the metrics registry.
 //!
@@ -58,13 +58,12 @@ use satroute_coloring::CspGraph;
 use satroute_obs::{FieldValue, FlightRecorder, MetricsRegistry, Tracer};
 use satroute_solver::cubes::{split_cubes, CubeOptions};
 use satroute_solver::{
-    CancellationToken, FanoutObserver, RunBudget, RunObserver, SharingConfig, SolverConfig,
-    StopReason, TraceObserver,
+    CancellationToken, RunBudget, RunObserver, SharingConfig, SolverConfig, StopReason, Telemetry,
 };
 
-use crate::encode::encode_coloring_instrumented;
+use crate::encode::{emit, Selectors};
 use crate::portfolio::SharingBus;
-use crate::strategy::{ColoringOutcome, ColoringReport, Strategy};
+use crate::strategy::{anchored, ColoringOutcome, ColoringReport, Strategy};
 
 /// Locks `mutex`, recovering the data if a panicking holder poisoned it —
 /// a cube deque is a plain work list whose integrity does not depend on
@@ -232,11 +231,8 @@ pub struct ConquerRequest<'a> {
     config: SolverConfig,
     budget: RunBudget,
     cancel: Option<CancellationToken>,
-    observer: Option<Arc<dyn RunObserver>>,
     sharing: Option<SharingConfig>,
-    tracer: Tracer,
-    metrics: MetricsRegistry,
-    flight: FlightRecorder,
+    telemetry: Telemetry,
 }
 
 impl<'a> ConquerRequest<'a> {
@@ -284,7 +280,7 @@ impl<'a> ConquerRequest<'a> {
     /// Attaches an observer receiving every cube's
     /// [`SolverEvent`](satroute_solver::SolverEvent) stream.
     pub fn observe(mut self, observer: Arc<dyn RunObserver>) -> Self {
-        self.observer = Some(observer);
+        self.telemetry.observer = Some(observer);
         self
     }
 
@@ -301,7 +297,7 @@ impl<'a> ConquerRequest<'a> {
     /// Attaches a [`Tracer`]: the run records a `conquer` root span with
     /// a `split` child and one `cube` span per conquered cube.
     pub fn trace(mut self, tracer: Tracer) -> Self {
-        self.tracer = tracer;
+        self.telemetry.tracer = tracer;
         self
     }
 
@@ -310,7 +306,7 @@ impl<'a> ConquerRequest<'a> {
     /// `conquer.{cubes,refuted,stolen}` counters plus a
     /// `conquer.cube_conflicts` histogram.
     pub fn metrics(mut self, registry: MetricsRegistry) -> Self {
-        self.metrics = registry;
+        self.telemetry.metrics = registry;
         self
     }
 
@@ -319,15 +315,17 @@ impl<'a> ConquerRequest<'a> {
     /// stopped by the shared budget (or cancelled after a winner) carries
     /// a [`Postmortem`](satroute_obs::Postmortem) in its report.
     pub fn flight(mut self, recorder: FlightRecorder) -> Self {
-        self.flight = recorder;
+        self.telemetry.flight = recorder;
         self
     }
 
     /// Splits, conquers and aggregates, consuming the request.
     pub fn run(self) -> ConquerResult {
         let start = Instant::now();
-        let tracer = self.tracer.clone();
-        let metrics = self.metrics.clone();
+        let telemetry = &self.telemetry;
+        let Telemetry {
+            tracer, metrics, ..
+        } = telemetry;
         let root = tracer.span_with(
             "conquer",
             [
@@ -340,11 +338,7 @@ impl<'a> ConquerRequest<'a> {
 
         // One shared absolute deadline, like the portfolio: cubes claimed
         // late still race the same instant.
-        let mut budget = self.budget;
-        if let Some(deadline) = budget.deadline(start) {
-            budget.deadline_at = Some(deadline);
-            budget.wall = None;
-        }
+        let budget = anchored(self.budget, start);
         let stop = self.cancel.unwrap_or_default();
 
         // Encode once for the splitter. Every cube's SolveRequest
@@ -352,13 +346,13 @@ impl<'a> ConquerRequest<'a> {
         // (graph, k, encoding, symmetry), so all solvers see this exact
         // CNF and the cube literals stay valid everywhere.
         let split_span = tracer.span("split");
-        let encoded = encode_coloring_instrumented(
+        let (encoded, _) = emit(
             self.graph,
             self.k,
             &self.strategy.encoding.encoding(),
             self.strategy.symmetry,
-            &tracer,
-            &metrics,
+            Selectors::None,
+            telemetry,
         );
         let formula_stats = encoded.formula.stats();
         let plan = split_cubes(
@@ -420,12 +414,8 @@ impl<'a> ConquerRequest<'a> {
         let graph = self.graph;
         let k = self.k;
         let config = &self.config;
-        let user_observer = &self.observer;
         let sharing = self.sharing;
-        let flight = &self.flight;
         let plan_cubes = &plan.cubes;
-        let tracer_ref = &tracer;
-        let metrics_ref = &metrics;
         let (tx, rx) = mpsc::channel::<(usize, usize, bool, ColoringReport, Duration)>();
 
         let (winner, first_answer, slots) = std::thread::scope(|scope| {
@@ -450,14 +440,14 @@ impl<'a> ConquerRequest<'a> {
                     };
                     if stolen {
                         stolen_total.fetch_add(1, Ordering::Relaxed);
-                        if metrics_ref.is_enabled() {
-                            metrics_ref.counter("conquer.stolen").inc();
+                        if metrics.is_enabled() {
+                            metrics.counter("conquer.stolen").inc();
                         }
                     }
                     let cube = &plan_cubes[cube_idx];
                     // Explicit parent: the worker thread's span stack is
                     // empty, so implicit parenting would make cubes roots.
-                    let cube_span = tracer_ref.span_under(
+                    let cube_span = tracer.span_under(
                         root_id,
                         "cube",
                         [
@@ -472,30 +462,8 @@ impl<'a> ConquerRequest<'a> {
                         .config(config.clone())
                         .budget(budget)
                         .cancel(stop.clone())
-                        .assume(cube)
-                        .trace(tracer_ref.clone())
-                        .metrics(metrics_ref.clone())
-                        .flight(flight.labelled(cube_idx as u64));
-                    let mut observers: Vec<Arc<dyn RunObserver>> = Vec::new();
-                    if tracer_ref.is_enabled() {
-                        observers.push(Arc::new(TraceObserver::new(
-                            tracer_ref.clone(),
-                            cube_span.id(),
-                        )));
-                    }
-                    if let Some(user) = user_observer {
-                        observers.push(user.clone());
-                    }
-                    request = match observers.len() {
-                        0 => request,
-                        1 => request.observe(observers.pop().expect("len checked")),
-                        _ => {
-                            let fanout = observers
-                                .drain(..)
-                                .fold(FanoutObserver::new(), FanoutObserver::with);
-                            request.observe(Arc::new(fanout))
-                        }
-                    };
+                        .assume(cube);
+                    request.telemetry = telemetry.member(cube_idx, cube_span.id(), None);
                     if let (Some(sharing), Some(bus)) = (sharing, bus) {
                         if let Some(exchange) = bus.exchange(worker) {
                             request = request.share(exchange, sharing);
@@ -507,8 +475,8 @@ impl<'a> ConquerRequest<'a> {
                         // bail at their next conflict boundary.
                         stop.cancel();
                     }
-                    if metrics_ref.is_enabled() {
-                        metrics_ref
+                    if metrics.is_enabled() {
+                        metrics
                             .histogram("conquer.cube_conflicts")
                             .record(report.solver_stats.conflicts);
                     }
@@ -647,11 +615,8 @@ impl Strategy {
             config: SolverConfig::default(),
             budget: RunBudget::default(),
             cancel: None,
-            observer: None,
             sharing: None,
-            tracer: Tracer::disabled(),
-            metrics: MetricsRegistry::disabled(),
-            flight: FlightRecorder::disabled(),
+            telemetry: Telemetry::default(),
         }
     }
 }

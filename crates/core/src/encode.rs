@@ -15,10 +15,27 @@
 //!
 //! The result carries a [`DecodeMap`] so that a SAT model can be converted
 //! back into a coloring by [`crate::decode::decode_coloring`].
+//!
+//! All three public encoders ([`encode_coloring`],
+//! [`encode_coloring_incremental`], [`encode_coloring_grouped`]) share one
+//! emitter that differs only in which activation selectors it adds
+//! ([`Selectors`]). Under a [`Telemetry`] the emitter records an encode
+//! span (fields: encoding name, width, vertex/edge counts) with
+//! `scheme_emit`, `structural_clauses`, `conflict_clauses` and
+//! `symmetry_breaking` child spans plus final `variables`/`clauses`/
+//! `literals` counters — the paper's per-encoding CNF-size comparison,
+//! recorded per run. A plain encode also feeds the registry's
+//! `encode.wall_us.<encoding>`, `encode.vars.<encoding>`,
+//! `encode.clauses.<encoding>` and `encode.literals.<encoding>`
+//! histograms; selector encodings stay out of them, since their extra
+//! variables and clauses would skew the per-encoding comparison.
+
+use std::time::Duration;
 
 use satroute_cnf::{CnfFormula, Lit};
 use satroute_coloring::CspGraph;
-use satroute_obs::{FieldValue, MetricsRegistry, Tracer};
+use satroute_obs::FieldValue;
+use satroute_solver::Telemetry;
 
 use crate::catalog::Encoding;
 use crate::pattern::SchemeCnf;
@@ -46,7 +63,7 @@ pub struct EncodedColoring {
     pub decode: DecodeMap,
     /// Wall time spent encoding (the `encode` span's duration) — the
     /// `cnf_translation` component of [`crate::TimingBreakdown`].
-    pub cnf_translation: std::time::Duration,
+    pub cnf_translation: Duration,
 }
 
 /// Encodes the K-coloring problem of `graph` as CNF.
@@ -77,78 +94,15 @@ pub fn encode_coloring(
     encoding: &Encoding,
     symmetry: SymmetryHeuristic,
 ) -> EncodedColoring {
-    encode_coloring_traced(graph, k, encoding, symmetry, &Tracer::disabled())
-}
-
-/// [`encode_coloring`] with trace instrumentation: an `encode` span
-/// (fields: encoding name, `k`, vertex/edge counts) with `scheme_emit`,
-/// `structural_clauses`, `conflict_clauses` and `symmetry_breaking` child
-/// spans, plus final `variables`/`clauses`/`literals` counters — the
-/// paper's Table-style per-encoding CNF-size comparison, recorded per run.
-pub fn encode_coloring_traced(
-    graph: &CspGraph,
-    k: u32,
-    encoding: &Encoding,
-    symmetry: SymmetryHeuristic,
-    tracer: &Tracer,
-) -> EncodedColoring {
-    encode_coloring_instrumented(
+    emit(
         graph,
         k,
         encoding,
         symmetry,
-        tracer,
-        &MetricsRegistry::disabled(),
+        Selectors::None,
+        &Telemetry::default(),
     )
-}
-
-/// [`encode_coloring_traced`] that additionally feeds a
-/// [`MetricsRegistry`]: the encode wall time lands in the
-/// `encode.wall_us.<encoding>` histogram and the CNF shape in
-/// `encode.vars.<encoding>` / `encode.clauses.<encoding>` /
-/// `encode.literals.<encoding>` — one histogram family per encoding, so
-/// a registry fed by many runs carries the paper's per-encoding
-/// size-comparison directly. A disabled registry records nothing.
-pub fn encode_coloring_instrumented(
-    graph: &CspGraph,
-    k: u32,
-    encoding: &Encoding,
-    symmetry: SymmetryHeuristic,
-    tracer: &Tracer,
-    metrics: &MetricsRegistry,
-) -> EncodedColoring {
-    let span = tracer.span_with(
-        "encode",
-        [
-            ("encoding", FieldValue::from(encoding.name())),
-            ("k", FieldValue::from(k)),
-            ("vertices", FieldValue::from(graph.num_vertices())),
-            ("edges", FieldValue::from(graph.num_edges())),
-        ],
-    );
-    let mut encoded = encode_inner(graph, k, encoding, symmetry, tracer);
-    let stats = encoded.formula.stats();
-    span.counter("variables", stats.num_vars as u64);
-    span.counter("clauses", stats.num_clauses as u64);
-    span.counter("literals", stats.num_literals as u64);
-    encoded.cnf_translation = span.close();
-    if metrics.is_enabled() {
-        let name = encoding.name();
-        let micros = u64::try_from(encoded.cnf_translation.as_micros()).unwrap_or(u64::MAX);
-        metrics
-            .histogram(&format!("encode.wall_us.{name}"))
-            .record(micros);
-        metrics
-            .histogram(&format!("encode.vars.{name}"))
-            .record(stats.num_vars as u64);
-        metrics
-            .histogram(&format!("encode.clauses.{name}"))
-            .record(stats.num_clauses as u64);
-        metrics
-            .histogram(&format!("encode.literals.{name}"))
-            .record(stats.num_literals as u64);
-    }
-    encoded
+    .0
 }
 
 /// The output of [`encode_coloring_incremental`]: one CNF encoded at the
@@ -180,10 +134,19 @@ pub struct IncrementalEncoding {
     /// variable; assuming it disables the track.
     pub selectors: Vec<Lit>,
     /// Wall time spent encoding (the `encode_incremental` span's duration).
-    pub cnf_translation: std::time::Duration,
+    pub cnf_translation: Duration,
 }
 
 impl IncrementalEncoding {
+    pub(crate) fn from_parts((base, selectors): (EncodedColoring, Vec<Lit>)) -> Self {
+        IncrementalEncoding {
+            formula: base.formula,
+            decode: base.decode,
+            selectors,
+            cnf_translation: base.cnf_translation,
+        }
+    }
+
     /// The upper-bound width the instance was encoded at.
     #[must_use]
     pub fn upper(&self) -> u32 {
@@ -235,66 +198,14 @@ pub fn encode_coloring_incremental(
     encoding: &Encoding,
     symmetry: SymmetryHeuristic,
 ) -> IncrementalEncoding {
-    encode_coloring_incremental_traced(graph, upper, encoding, symmetry, &Tracer::disabled())
-}
-
-/// [`encode_coloring_incremental`] with trace instrumentation: an
-/// `encode_incremental` span wrapping the usual encode child spans plus an
-/// `activation_selectors` span counting the selector clauses.
-pub fn encode_coloring_incremental_traced(
-    graph: &CspGraph,
-    upper: u32,
-    encoding: &Encoding,
-    symmetry: SymmetryHeuristic,
-    tracer: &Tracer,
-) -> IncrementalEncoding {
-    assert!(upper > 0, "incremental encoding needs at least one track");
-    let span = tracer.span_with(
-        "encode_incremental",
-        [
-            ("encoding", FieldValue::from(encoding.name())),
-            ("upper", FieldValue::from(upper)),
-            ("vertices", FieldValue::from(graph.num_vertices())),
-            ("edges", FieldValue::from(graph.num_edges())),
-        ],
-    );
-    let base = encode_inner(graph, upper, encoding, symmetry, tracer);
-    let mut formula = base.formula;
-    let decode = base.decode;
-
-    let sel_span = tracer.span("activation_selectors");
-    let before = formula.num_clauses();
-    let selectors: Vec<Lit> = (0..upper)
-        .map(|_| Lit::positive(formula.new_var()))
-        .collect();
-    let negations: Vec<Vec<Lit>> = decode
-        .scheme
-        .patterns
-        .iter()
-        .map(|p| p.negation_clause())
-        .collect();
-    for &offset in &decode.offsets {
-        for (d, neg) in negations.iter().enumerate() {
-            let mut clause = Vec::with_capacity(neg.len() + 1);
-            clause.push(!selectors[d]);
-            clause.extend(neg.iter().map(|&l| Lit::from_code(l.code() + 2 * offset)));
-            formula.add_clause(clause);
-        }
-    }
-    sel_span.counter("clauses", (formula.num_clauses() - before) as u64);
-    drop(sel_span);
-
-    let stats = formula.stats();
-    span.counter("variables", stats.num_vars as u64);
-    span.counter("clauses", stats.num_clauses as u64);
-    span.counter("literals", stats.num_literals as u64);
-    let cnf_translation = span.close();
-    IncrementalEncoding {
-        formula,
-        decode,
-        selectors,
-        cnf_translation,
-    }
+    IncrementalEncoding::from_parts(emit(
+        graph,
+        upper,
+        encoding,
+        symmetry,
+        Selectors::PerTrack,
+        &Telemetry::default(),
+    ))
 }
 
 /// The output of [`encode_coloring_grouped`]: one CNF with a *group
@@ -340,10 +251,23 @@ pub struct GroupedEncoding {
     /// kept for diagnostics).
     pub groups: Vec<u32>,
     /// Wall time spent encoding (the `encode_grouped` span's duration).
-    pub cnf_translation: std::time::Duration,
+    pub cnf_translation: Duration,
 }
 
 impl GroupedEncoding {
+    pub(crate) fn from_parts(
+        (base, selectors): (EncodedColoring, Vec<Lit>),
+        groups: &[u32],
+    ) -> Self {
+        GroupedEncoding {
+            formula: base.formula,
+            decode: base.decode,
+            selectors,
+            groups: groups.to_vec(),
+            cnf_translation: base.cnf_translation,
+        }
+    }
+
     /// Number of groups (max group id + 1; ids need not all be populated).
     #[must_use]
     pub fn num_groups(&self) -> u32 {
@@ -404,227 +328,241 @@ pub fn encode_coloring_grouped(
     groups: &[u32],
     encoding: &Encoding,
 ) -> GroupedEncoding {
-    encode_coloring_grouped_traced(graph, k, groups, encoding, &Tracer::disabled())
+    let emitted = emit(
+        graph,
+        k,
+        encoding,
+        SymmetryHeuristic::None,
+        Selectors::PerGroup(groups),
+        &Telemetry::default(),
+    );
+    GroupedEncoding::from_parts(emitted, groups)
 }
 
-/// [`encode_coloring_grouped`] with trace instrumentation: an
-/// `encode_grouped` span (fields: encoding name, `k`, vertex/edge/group
-/// counts) wrapping the usual encode child spans plus a `group_selectors`
-/// span counting the guarded clauses.
-pub fn encode_coloring_grouped_traced(
+/// Which activation selectors [`emit`] adds to the coloring CNF.
+#[derive(Clone, Copy, PartialEq)]
+pub(crate) enum Selectors<'a> {
+    /// None: the plain encoding of [`encode_coloring`].
+    None,
+    /// One selector per track, emitted after the symmetry restrictions
+    /// (see [`IncrementalEncoding`]).
+    PerTrack,
+    /// One selector per vertex group guarding its clauses, with no
+    /// symmetry restrictions (see [`GroupedEncoding`]).
+    PerGroup(&'a [u32]),
+}
+
+/// Shifts a scheme-local clause into the variable block at `offset`.
+fn shift(lits: &[Lit], offset: u32) -> impl Iterator<Item = Lit> + '_ {
+    lits.iter()
+        .map(move |&l| Lit::from_code(l.code() + 2 * offset))
+}
+
+/// The one body behind every encoder: the K-coloring CNF of `graph`
+/// plus the `selectors` policy's activation literals, recorded into
+/// `telemetry` (see the module docs). Selector variables live after all
+/// vertex blocks, so the [`DecodeMap`] never depends on the policy.
+///
+/// # Panics
+///
+/// Panics for [`Selectors::PerTrack`] with `k == 0`, and for
+/// [`Selectors::PerGroup`] without exactly one group id per vertex.
+pub(crate) fn emit(
     graph: &CspGraph,
     k: u32,
-    groups: &[u32],
     encoding: &Encoding,
-    tracer: &Tracer,
-) -> GroupedEncoding {
+    symmetry: SymmetryHeuristic,
+    selectors: Selectors<'_>,
+    telemetry: &Telemetry,
+) -> (EncodedColoring, Vec<Lit>) {
+    let tracer = &telemetry.tracer;
     let n = graph.num_vertices();
-    assert_eq!(
-        groups.len(),
-        n,
-        "need exactly one group id per vertex ({} ids for {n} vertices)",
-        groups.len()
-    );
-    let num_groups = groups.iter().map(|&g| g + 1).max().unwrap_or(0);
-    let span = tracer.span_with(
-        "encode_grouped",
-        [
-            ("encoding", FieldValue::from(encoding.name())),
-            ("k", FieldValue::from(k)),
-            ("vertices", FieldValue::from(n)),
-            ("edges", FieldValue::from(graph.num_edges())),
-            ("groups", FieldValue::from(num_groups)),
-        ],
-    );
-
-    if k == 0 {
-        // No tracks at all: each populated group is unroutable by itself,
-        // expressed as a unit clause against its selector (one per group,
-        // not per vertex, so cores stay minimal).
-        let mut formula = CnfFormula::new();
-        let selectors: Vec<Lit> = (0..num_groups)
-            .map(|_| Lit::positive(formula.new_var()))
-            .collect();
-        let mut populated = vec![false; num_groups as usize];
-        for &g in groups {
-            if !std::mem::replace(&mut populated[g as usize], true) {
-                formula.add_clause([!selectors[g as usize]]);
-            }
+    let groups: &[u32] = match selectors {
+        Selectors::None => &[],
+        Selectors::PerTrack => {
+            assert!(k > 0, "incremental encoding needs at least one track");
+            &[]
         }
-        let cnf_translation = span.close();
-        return GroupedEncoding {
-            formula,
-            decode: DecodeMap {
-                scheme: SchemeCnf::default(),
-                offsets: vec![0; n],
-                num_colors: 0,
-            },
-            selectors,
-            groups: groups.to_vec(),
-            cnf_translation,
-        };
-    }
-
-    let scheme = encoding.emit_traced(k, tracer);
-    let mut formula = CnfFormula::with_vars(scheme.num_vars * n as u32);
-    let offsets: Vec<u32> = (0..n as u32).map(|v| v * scheme.num_vars).collect();
-    let selectors: Vec<Lit> = (0..num_groups)
-        .map(|_| Lit::positive(formula.new_var()))
-        .collect();
-    let shift = |lits: &[Lit], offset: u32| -> Vec<Lit> {
-        lits.iter()
-            .map(|&l| Lit::from_code(l.code() + 2 * offset))
-            .collect()
+        Selectors::PerGroup(groups) => {
+            assert_eq!(
+                groups.len(),
+                n,
+                "need exactly one group id per vertex ({} ids for {n} vertices)",
+                groups.len()
+            );
+            groups
+        }
     };
-
-    // Structural clauses, one guarded copy per vertex: deactivating the
-    // vertex's group releases its totality/at-most-one constraints.
-    let sel_span = tracer.span("group_selectors");
-    let structural = tracer.span("structural_clauses");
-    for (v, &offset) in offsets.iter().enumerate() {
-        let guard = !selectors[groups[v] as usize];
-        for clause in &scheme.structural {
-            let mut guarded = Vec::with_capacity(clause.len() + 1);
-            guarded.push(guard);
-            guarded.extend(shift(clause, offset));
-            formula.add_clause(guarded);
-        }
+    let num_groups = groups.iter().map(|&g| g + 1).max().unwrap_or(0);
+    let (span_name, width_field) = match selectors {
+        Selectors::None => ("encode", "k"),
+        Selectors::PerTrack => ("encode_incremental", "upper"),
+        Selectors::PerGroup(_) => ("encode_grouped", "k"),
+    };
+    let mut fields = vec![
+        ("encoding", FieldValue::from(encoding.name())),
+        (width_field, FieldValue::from(k)),
+        ("vertices", FieldValue::from(n)),
+        ("edges", FieldValue::from(graph.num_edges())),
+    ];
+    if let Selectors::PerGroup(_) = selectors {
+        fields.push(("groups", FieldValue::from(num_groups)));
     }
-    structural.counter("clauses", formula.num_clauses() as u64);
-    drop(structural);
+    let span = tracer.span_with(span_name, fields);
 
-    // Conflict clauses guarded by both endpoints' groups: the clause only
-    // bites while both nets are active.
-    let conflicts = tracer.span("conflict_clauses");
-    let before_conflicts = formula.num_clauses();
-    let negations: Vec<Vec<Lit>> = scheme
-        .patterns
-        .iter()
-        .map(|p| p.negation_clause())
-        .collect();
-    for (u, v) in graph.edges() {
-        let gu = groups[u as usize];
-        let gv = groups[v as usize];
-        for neg in &negations {
-            let mut clause = Vec::with_capacity(2 * neg.len() + 2);
-            clause.push(!selectors[gu as usize]);
-            if gv != gu {
-                clause.push(!selectors[gv as usize]);
+    let mut formula = CnfFormula::new();
+    let mut selector_lits = Vec::new();
+    let decode = if k == 0 {
+        if let Selectors::PerGroup(_) = selectors {
+            // No tracks at all: each populated group is unroutable by
+            // itself, expressed as a unit clause against its selector (one
+            // per group, not per vertex, so cores stay minimal).
+            selector_lits = (0..num_groups)
+                .map(|_| Lit::positive(formula.new_var()))
+                .collect();
+            let mut populated = vec![false; num_groups as usize];
+            for &g in groups {
+                if !std::mem::replace(&mut populated[g as usize], true) {
+                    formula.add_clause([!selector_lits[g as usize]]);
+                }
             }
-            clause.extend(shift(neg, offsets[u as usize]));
-            clause.extend(shift(neg, offsets[v as usize]));
-            formula.add_clause(clause);
+        } else if n > 0 {
+            formula.add_clause(std::iter::empty());
         }
-    }
-    conflicts.counter("clauses", (formula.num_clauses() - before_conflicts) as u64);
-    drop(conflicts);
-    sel_span.counter("selectors", u64::from(num_groups));
-    drop(sel_span);
+        DecodeMap {
+            scheme: SchemeCnf::default(),
+            offsets: vec![0; n],
+            num_colors: 0,
+        }
+    } else {
+        let scheme = encoding.emit_traced(k, tracer);
+        formula = CnfFormula::with_vars(scheme.num_vars * n as u32);
+        let offsets: Vec<u32> = (0..n as u32).map(|v| v * scheme.num_vars).collect();
+        if let Selectors::PerGroup(_) = selectors {
+            selector_lits = (0..num_groups)
+                .map(|_| Lit::positive(formula.new_var()))
+                .collect();
+        }
+        // A grouped vertex's clauses are guarded by its group's selector:
+        // deactivating the group releases them.
+        let guard = |v: u32| -> Option<Lit> {
+            match selectors {
+                Selectors::PerGroup(groups) => Some(!selector_lits[groups[v as usize] as usize]),
+                _ => None,
+            }
+        };
+        let group_span =
+            matches!(selectors, Selectors::PerGroup(_)).then(|| tracer.span("group_selectors"));
+
+        // Structural clauses, one copy per vertex.
+        let structural = tracer.span("structural_clauses");
+        for (v, &offset) in offsets.iter().enumerate() {
+            for clause in &scheme.structural {
+                let mut lits = Vec::with_capacity(clause.len() + 1);
+                lits.extend(guard(v as u32));
+                lits.extend(shift(clause, offset));
+                formula.add_clause(lits);
+            }
+        }
+        structural.counter("clauses", formula.num_clauses() as u64);
+        drop(structural);
+
+        // Conflict clauses: for each edge and common value, forbid both
+        // patterns simultaneously (only while both endpoints' groups are
+        // active).
+        let conflicts = tracer.span("conflict_clauses");
+        let before_conflicts = formula.num_clauses();
+        let negations: Vec<Vec<Lit>> = scheme
+            .patterns
+            .iter()
+            .map(|p| p.negation_clause())
+            .collect();
+        for (u, v) in graph.edges() {
+            let (gu, gv) = (guard(u), guard(v));
+            for neg in &negations {
+                let mut clause = Vec::with_capacity(2 * neg.len() + 2);
+                clause.extend(gu);
+                if gv != gu {
+                    clause.extend(gv);
+                }
+                clause.extend(shift(neg, offsets[u as usize]));
+                clause.extend(shift(neg, offsets[v as usize]));
+                formula.add_clause(clause);
+            }
+        }
+        conflicts.counter("clauses", (formula.num_clauses() - before_conflicts) as u64);
+        drop(conflicts);
+
+        if let Some(group_span) = group_span {
+            // Symmetry restrictions come from a clique and vertex order of
+            // the full graph and turn unsound once groups are deleted.
+            group_span.counter("selectors", u64::from(num_groups));
+        } else {
+            // Symmetry restrictions: position p (0-based) may only use
+            // colors 0..=p.
+            let sym = tracer.span_with(
+                "symmetry_breaking",
+                [("heuristic", FieldValue::from(symmetry.to_string()))],
+            );
+            let before_sym = formula.num_clauses();
+            for (p, &v) in symmetry.restricted_sequence(graph, k).iter().enumerate() {
+                for d in (p as u32 + 1)..k {
+                    formula.add_clause(shift(&negations[d as usize], offsets[v as usize]));
+                }
+            }
+            sym.counter("clauses", (formula.num_clauses() - before_sym) as u64);
+        }
+
+        if let Selectors::PerTrack = selectors {
+            // Track d's selector disables pattern d for every vertex.
+            let track_span = tracer.span("activation_selectors");
+            let before = formula.num_clauses();
+            selector_lits = (0..k).map(|_| Lit::positive(formula.new_var())).collect();
+            for &offset in &offsets {
+                for (d, neg) in negations.iter().enumerate() {
+                    let mut clause = Vec::with_capacity(neg.len() + 1);
+                    clause.push(!selector_lits[d]);
+                    clause.extend(shift(neg, offset));
+                    formula.add_clause(clause);
+                }
+            }
+            track_span.counter("clauses", (formula.num_clauses() - before) as u64);
+        }
+        DecodeMap {
+            scheme,
+            offsets,
+            num_colors: k,
+        }
+    };
 
     let stats = formula.stats();
     span.counter("variables", stats.num_vars as u64);
     span.counter("clauses", stats.num_clauses as u64);
     span.counter("literals", stats.num_literals as u64);
     let cnf_translation = span.close();
-    GroupedEncoding {
+    let metrics = &telemetry.metrics;
+    if selectors == Selectors::None && metrics.is_enabled() {
+        let name = encoding.name();
+        let micros = u64::try_from(cnf_translation.as_micros()).unwrap_or(u64::MAX);
+        metrics
+            .histogram(&format!("encode.wall_us.{name}"))
+            .record(micros);
+        metrics
+            .histogram(&format!("encode.vars.{name}"))
+            .record(stats.num_vars as u64);
+        metrics
+            .histogram(&format!("encode.clauses.{name}"))
+            .record(stats.num_clauses as u64);
+        metrics
+            .histogram(&format!("encode.literals.{name}"))
+            .record(stats.num_literals as u64);
+    }
+    let encoded = EncodedColoring {
         formula,
-        decode: DecodeMap {
-            scheme,
-            offsets,
-            num_colors: k,
-        },
-        selectors,
-        groups: groups.to_vec(),
+        decode,
         cnf_translation,
-    }
-}
-
-fn encode_inner(
-    graph: &CspGraph,
-    k: u32,
-    encoding: &Encoding,
-    symmetry: SymmetryHeuristic,
-    tracer: &Tracer,
-) -> EncodedColoring {
-    let n = graph.num_vertices();
-    if k == 0 {
-        let mut formula = CnfFormula::new();
-        if n > 0 {
-            formula.add_clause(std::iter::empty());
-        }
-        return EncodedColoring {
-            formula,
-            decode: DecodeMap {
-                scheme: SchemeCnf::default(),
-                offsets: vec![0; n],
-                num_colors: 0,
-            },
-            cnf_translation: std::time::Duration::ZERO,
-        };
-    }
-
-    let scheme = encoding.emit_traced(k, tracer);
-    let mut formula = CnfFormula::with_vars(scheme.num_vars * n as u32);
-
-    let offsets: Vec<u32> = (0..n as u32).map(|v| v * scheme.num_vars).collect();
-    let shift = |lits: &[Lit], offset: u32| -> Vec<Lit> {
-        lits.iter()
-            .map(|&l| Lit::from_code(l.code() + 2 * offset))
-            .collect()
     };
-
-    // Structural clauses, one copy per vertex.
-    let structural = tracer.span("structural_clauses");
-    for &offset in &offsets {
-        for clause in &scheme.structural {
-            formula.add_clause(shift(clause, offset));
-        }
-    }
-    structural.counter("clauses", formula.num_clauses() as u64);
-    drop(structural);
-
-    // Conflict clauses: for each edge and common value, forbid both
-    // patterns simultaneously.
-    let conflicts = tracer.span("conflict_clauses");
-    let before_conflicts = formula.num_clauses();
-    let negations: Vec<Vec<Lit>> = scheme
-        .patterns
-        .iter()
-        .map(|p| p.negation_clause())
-        .collect();
-    for (u, v) in graph.edges() {
-        for neg in &negations {
-            let mut clause = shift(neg, offsets[u as usize]);
-            clause.extend(shift(neg, offsets[v as usize]));
-            formula.add_clause(clause);
-        }
-    }
-    conflicts.counter("clauses", (formula.num_clauses() - before_conflicts) as u64);
-    drop(conflicts);
-
-    // Symmetry restrictions: position p (0-based) may only use colors 0..=p.
-    let sym = tracer.span_with(
-        "symmetry_breaking",
-        [("heuristic", FieldValue::from(symmetry.to_string()))],
-    );
-    let before_sym = formula.num_clauses();
-    for (p, &v) in symmetry.restricted_sequence(graph, k).iter().enumerate() {
-        for d in (p as u32 + 1)..k {
-            formula.add_clause(shift(&negations[d as usize], offsets[v as usize]));
-        }
-    }
-    sym.counter("clauses", (formula.num_clauses() - before_sym) as u64);
-    drop(sym);
-
-    EncodedColoring {
-        formula,
-        decode: DecodeMap {
-            scheme,
-            offsets,
-            num_colors: k,
-        },
-        cnf_translation: std::time::Duration::ZERO,
-    }
+    (encoded, selector_lits)
 }
 
 #[cfg(test)]

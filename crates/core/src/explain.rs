@@ -36,13 +36,14 @@ use satroute_cnf::FormulaStats;
 use satroute_coloring::{Coloring, CspGraph};
 use satroute_obs::{FieldValue, FlightRecorder, MetricsRegistry, Postmortem, Tracer};
 use satroute_solver::{
-    CancellationToken, CdclSolver, FanoutObserver, RunBudget, RunObserver, SolveOutcome,
-    SolverConfig, SolverStats, StopReason, TraceObserver,
+    CancellationToken, CdclSolver, RunBudget, RunObserver, SolveOutcome, SolverConfig, SolverStats,
+    StopReason, Telemetry,
 };
 
 use crate::decode::decode_coloring;
-use crate::encode::{encode_coloring_grouped_traced, GroupedEncoding};
+use crate::encode::{emit, GroupedEncoding, Selectors};
 use crate::strategy::{postmortem_core, Strategy};
+use crate::symmetry::SymmetryHeuristic;
 
 /// How far the deletion pass got.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -179,10 +180,7 @@ pub struct ExplainRequest<'a> {
     config: SolverConfig,
     budget: RunBudget,
     cancel: Option<CancellationToken>,
-    observer: Option<Arc<dyn RunObserver>>,
-    tracer: Tracer,
-    metrics: MetricsRegistry,
-    flight: FlightRecorder,
+    telemetry: Telemetry,
     shrink_budget: Option<u64>,
 }
 
@@ -212,10 +210,7 @@ impl<'a> ExplainRequest<'a> {
             config: SolverConfig::default(),
             budget: RunBudget::default(),
             cancel: None,
-            observer: None,
-            tracer: Tracer::disabled(),
-            metrics: MetricsRegistry::disabled(),
-            flight: FlightRecorder::disabled(),
+            telemetry: Telemetry::default(),
             shrink_budget: None,
         }
     }
@@ -257,7 +252,7 @@ impl<'a> ExplainRequest<'a> {
     /// Attaches an observer receiving every probe's event stream.
     #[must_use]
     pub fn observe(mut self, observer: Arc<dyn RunObserver>) -> Self {
-        self.observer = Some(observer);
+        self.telemetry.observer = Some(observer);
         self
     }
 
@@ -268,7 +263,7 @@ impl<'a> ExplainRequest<'a> {
     /// tracer records nothing.
     #[must_use]
     pub fn trace(mut self, tracer: Tracer) -> Self {
-        self.tracer = tracer;
+        self.telemetry.tracer = tracer;
         self
     }
 
@@ -279,7 +274,7 @@ impl<'a> ExplainRequest<'a> {
     /// conflict costs.
     #[must_use]
     pub fn metrics(mut self, registry: MetricsRegistry) -> Self {
-        self.metrics = registry;
+        self.telemetry.metrics = registry;
         self
     }
 
@@ -288,7 +283,7 @@ impl<'a> ExplainRequest<'a> {
     /// [`Postmortem`] naming the active assumption core at the stop.
     #[must_use]
     pub fn flight(mut self, recorder: FlightRecorder) -> Self {
-        self.flight = recorder;
+        self.telemetry.flight = recorder;
         self
     }
 
@@ -298,8 +293,13 @@ impl<'a> ExplainRequest<'a> {
     ///
     /// Panics if `groups.len() != graph.num_vertices()`.
     pub fn run(self) -> ExplainReport {
-        let tracer = self.tracer.clone();
-        let metrics = self.metrics.clone();
+        let telemetry = &self.telemetry;
+        let Telemetry {
+            tracer,
+            metrics,
+            flight,
+            ..
+        } = telemetry;
         let span = tracer.span_with(
             "explain",
             [
@@ -312,17 +312,17 @@ impl<'a> ExplainRequest<'a> {
                 ("edges", FieldValue::from(self.graph.num_edges())),
             ],
         );
-        let encoding = encode_coloring_grouped_traced(
+        let emitted = emit(
             self.graph,
             self.width,
-            self.groups,
             &self.strategy.encoding.encoding(),
-            &tracer,
+            SymmetryHeuristic::None,
+            Selectors::PerGroup(self.groups),
+            telemetry,
         );
+        let encoding = GroupedEncoding::from_parts(emitted, self.groups);
         let formula_stats = encoding.formula.stats();
         let mut solver = CdclSolver::with_config(self.config);
-        solver.set_metrics(&metrics);
-        solver.set_flight(&self.flight);
         solver.set_budget(self.budget);
         if let Some(token) = self.cancel.clone() {
             solver.set_cancellation(token);
@@ -352,8 +352,7 @@ impl<'a> ExplainRequest<'a> {
         let (outcome, wall) = probe_groups(
             &mut solver,
             &encoding,
-            &tracer,
-            &self.observer,
+            telemetry,
             "initial_core",
             None,
             &populated,
@@ -384,8 +383,8 @@ impl<'a> ExplainRequest<'a> {
                 };
             }
             SolveOutcome::Unknown(reason) => {
-                if self.flight.is_enabled() {
-                    let mut pm = Postmortem::from_recorder(&self.flight, reason.to_string());
+                if flight.is_enabled() {
+                    let mut pm = Postmortem::from_recorder(flight, reason.to_string());
                     pm.hottest_phase = Some("sat_solving".to_string());
                     pm.failed_assumptions =
                         postmortem_core(&encoding.assumptions_for(populated.iter().copied()));
@@ -437,8 +436,7 @@ impl<'a> ExplainRequest<'a> {
             let (outcome, wall) = probe_groups(
                 &mut solver,
                 &encoding,
-                &tracer,
-                &self.observer,
+                telemetry,
                 "shrink_step",
                 Some(candidate),
                 &active,
@@ -463,8 +461,8 @@ impl<'a> ExplainRequest<'a> {
                         reason,
                         untested: untested.len() as u32,
                     };
-                    if self.flight.is_enabled() {
-                        let mut pm = Postmortem::from_recorder(&self.flight, reason.to_string());
+                    if flight.is_enabled() {
+                        let mut pm = Postmortem::from_recorder(flight, reason.to_string());
                         pm.hottest_phase = Some("sat_solving".to_string());
                         pm.failed_assumptions =
                             postmortem_core(&encoding.assumptions_for(active.iter().copied()));
@@ -525,8 +523,7 @@ fn close_run_span(
 fn probe_groups(
     solver: &mut CdclSolver,
     encoding: &GroupedEncoding,
-    tracer: &Tracer,
-    observer: &Option<Arc<dyn RunObserver>>,
+    telemetry: &Telemetry,
     span_name: &'static str,
     candidate: Option<u32>,
     active: &[u32],
@@ -535,15 +532,8 @@ fn probe_groups(
     if let Some(group) = candidate {
         fields.push(("candidate", FieldValue::from(group)));
     }
-    let span = tracer.span_with(span_name, fields);
-    let mut fanout = FanoutObserver::new();
-    if let Some(user) = observer {
-        fanout = fanout.with(user.clone());
-    }
-    if tracer.is_enabled() {
-        fanout = fanout.with(Arc::new(TraceObserver::new(tracer.clone(), span.id())));
-    }
-    solver.set_observer(Arc::new(fanout));
+    let span = telemetry.tracer.span_with(span_name, fields);
+    telemetry.attach(solver, span.id());
     let assumptions = encoding.assumptions_for(active.iter().copied());
     let outcome = solver.solve_with_assumptions(&assumptions);
     span.mark(

@@ -23,18 +23,20 @@
 //! the widths the core covers ([`IncrementalSession::core_lower_bound`]).
 
 use std::sync::Arc;
+use std::time::Instant;
 
 use satroute_cnf::FormulaStats;
 use satroute_coloring::{Coloring, CspGraph};
 use satroute_obs::{FieldValue, FlightRecorder, MetricsRegistry, Postmortem, Tracer};
 use satroute_solver::{
-    CancellationToken, CdclSolver, FanoutObserver, MetricsRecorder, RunBudget, RunObserver,
-    SolveOutcome, SolverConfig, TraceObserver,
+    CancellationToken, CdclSolver, RunBudget, RunObserver, SolveOutcome, SolverConfig, Telemetry,
 };
 
 use crate::decode::decode_coloring;
-use crate::encode::{encode_coloring_incremental_traced, IncrementalEncoding};
-use crate::strategy::{hottest_phase, ColoringOutcome, ColoringReport, Strategy, TimingBreakdown};
+use crate::encode::{emit, IncrementalEncoding, Selectors};
+use crate::strategy::{
+    anchored, hottest_phase, ColoringOutcome, ColoringReport, Strategy, TimingBreakdown,
+};
 
 /// Builder for an [`IncrementalSession`], returned by
 /// [`Strategy::incremental`]. Mirrors the [`crate::SolveRequest`] idiom:
@@ -46,10 +48,7 @@ pub struct IncrementalSessionBuilder<'a> {
     config: SolverConfig,
     budget: RunBudget,
     cancel: Option<CancellationToken>,
-    observer: Option<Arc<dyn RunObserver>>,
-    tracer: Tracer,
-    metrics: MetricsRegistry,
-    flight: FlightRecorder,
+    pub(crate) telemetry: Telemetry,
 }
 
 impl std::fmt::Debug for IncrementalSessionBuilder<'_> {
@@ -58,7 +57,7 @@ impl std::fmt::Debug for IncrementalSessionBuilder<'_> {
             .field("strategy", &self.strategy)
             .field("upper", &self.upper)
             .field("budget", &self.budget)
-            .field("observed", &self.observer.is_some())
+            .field("telemetry", &self.telemetry)
             .finish_non_exhaustive()
     }
 }
@@ -72,10 +71,7 @@ impl<'a> IncrementalSessionBuilder<'a> {
             config: SolverConfig::default(),
             budget: RunBudget::default(),
             cancel: None,
-            observer: None,
-            tracer: Tracer::disabled(),
-            metrics: MetricsRegistry::disabled(),
-            flight: FlightRecorder::disabled(),
+            telemetry: Telemetry::default(),
         }
     }
 
@@ -90,7 +86,8 @@ impl<'a> IncrementalSessionBuilder<'a> {
     /// Imposes a [`RunBudget`] on the session. Integer caps apply to the
     /// solver's *cumulative* counters (conflicts accumulate across
     /// probes); a shared `deadline_at` or wall budget bounds the whole
-    /// ladder.
+    /// ladder (a wall limit starts counting at
+    /// [`build`](IncrementalSessionBuilder::build)).
     #[must_use]
     pub fn budget(mut self, budget: RunBudget) -> Self {
         self.budget = budget;
@@ -108,7 +105,7 @@ impl<'a> IncrementalSessionBuilder<'a> {
     /// Attaches an observer receiving every probe's event stream.
     #[must_use]
     pub fn observe(mut self, observer: Arc<dyn RunObserver>) -> Self {
-        self.observer = Some(observer);
+        self.telemetry.observer = Some(observer);
         self
     }
 
@@ -117,7 +114,7 @@ impl<'a> IncrementalSessionBuilder<'a> {
     /// the solver's event stream. A disabled tracer records nothing.
     #[must_use]
     pub fn trace(mut self, tracer: Tracer) -> Self {
-        self.tracer = tracer;
+        self.telemetry.tracer = tracer;
         self
     }
 
@@ -128,7 +125,7 @@ impl<'a> IncrementalSessionBuilder<'a> {
     /// away).
     #[must_use]
     pub fn metrics(mut self, registry: MetricsRegistry) -> Self {
-        self.metrics = registry;
+        self.telemetry.metrics = registry;
         self
     }
 
@@ -137,7 +134,7 @@ impl<'a> IncrementalSessionBuilder<'a> {
     /// [`Postmortem`](satroute_obs::Postmortem) in its report.
     #[must_use]
     pub fn flight(mut self, recorder: FlightRecorder) -> Self {
-        self.flight = recorder;
+        self.telemetry.flight = recorder;
         self
     }
 
@@ -150,18 +147,20 @@ impl<'a> IncrementalSessionBuilder<'a> {
     #[must_use]
     pub fn build(self) -> IncrementalSession {
         assert!(self.upper >= 1, "the upper color bound must be positive");
-        let encoding = encode_coloring_incremental_traced(
+        // Every probe races one deadline: a wall limit resolved per probe
+        // would restart with each solve.
+        let budget = anchored(self.budget, Instant::now());
+        let encoding = IncrementalEncoding::from_parts(emit(
             self.graph,
             self.upper,
             &self.strategy.encoding.encoding(),
             self.strategy.symmetry,
-            &self.tracer,
-        );
+            Selectors::PerTrack,
+            &self.telemetry,
+        ));
         let formula_stats = encoding.formula.stats();
         let mut solver = CdclSolver::with_config(self.config);
-        solver.set_metrics(&self.metrics);
-        solver.set_flight(&self.flight);
-        solver.set_budget(self.budget);
+        solver.set_budget(budget);
         if let Some(token) = self.cancel {
             solver.set_cancellation(token);
         }
@@ -178,10 +177,7 @@ impl<'a> IncrementalSessionBuilder<'a> {
             solver,
             encoding,
             formula_stats,
-            observer: self.observer,
-            tracer: self.tracer,
-            metrics: self.metrics,
-            flight: self.flight,
+            telemetry: self.telemetry,
             probes: 0,
             failed_tracks: Vec::new(),
             encode_time_pending: true,
@@ -217,10 +213,7 @@ pub struct IncrementalSession {
     solver: CdclSolver,
     encoding: IncrementalEncoding,
     formula_stats: FormulaStats,
-    observer: Option<Arc<dyn RunObserver>>,
-    tracer: Tracer,
-    metrics: MetricsRegistry,
-    flight: FlightRecorder,
+    telemetry: Telemetry,
     probes: u64,
     /// Tracks named by the failed-assumption core of the last UNSAT probe.
     failed_tracks: Vec<u32>,
@@ -297,30 +290,26 @@ impl IncrementalSession {
             "width {k} exceeds the encoded upper bound {}",
             self.upper()
         );
-        let span = self.tracer.span_with(
+        let Telemetry {
+            tracer,
+            metrics,
+            flight,
+            ..
+        } = &self.telemetry;
+        let span = tracer.span_with(
             "width_probe",
             [
                 ("width", FieldValue::from(k)),
                 ("strategy", FieldValue::from(self.strategy.to_string())),
             ],
         );
-        let recorder = Arc::new(MetricsRecorder::new());
-        let mut fanout = FanoutObserver::new().with(recorder.clone() as Arc<dyn RunObserver>);
-        if let Some(user) = &self.observer {
-            fanout = fanout.with(user.clone());
-        }
-        if self.tracer.is_enabled() {
-            fanout = fanout.with(Arc::new(TraceObserver::new(self.tracer.clone(), span.id())));
-        }
-        self.solver.set_observer(Arc::new(fanout));
+        let recorder = self.telemetry.attach(&mut self.solver, span.id());
 
         let reused = self.solver.stats().conflicts;
         self.probes += 1;
-        if self.metrics.is_enabled() {
-            self.metrics.counter("incremental.probes").add(1);
-            self.metrics
-                .counter("incremental.reused_conflicts")
-                .add(reused);
+        if metrics.is_enabled() {
+            metrics.counter("incremental.probes").add(1);
+            metrics.counter("incremental.reused_conflicts").add(reused);
         }
 
         let assumptions = self.encoding.assumptions_for_width(k);
@@ -365,8 +354,8 @@ impl IncrementalSession {
             sat_solving,
         };
         let postmortem = match &outcome {
-            ColoringOutcome::Unknown(reason) if self.flight.is_enabled() => {
-                let mut pm = Postmortem::from_recorder(&self.flight, reason.to_string());
+            ColoringOutcome::Unknown(reason) if flight.is_enabled() => {
+                let mut pm = Postmortem::from_recorder(flight, reason.to_string());
                 pm.hottest_phase = Some(hottest_phase(&timing).to_string());
                 if let Some(failed) = &failed_assumptions {
                     pm.failed_assumptions = crate::strategy::postmortem_core(failed);
@@ -488,6 +477,37 @@ mod tests {
     }
 
     #[test]
+    fn wall_budget_bounds_the_whole_ladder() {
+        use satroute_solver::StopReason;
+        use std::time::Duration;
+
+        let g = random_graph(12, 0.5, 9);
+        let k = exact::chromatic_number(&g) - 1;
+        // Refuting width k takes real search, well inside the wall.
+        let report = Strategy::paper_baseline()
+            .incremental(&g, k + 1)
+            .build()
+            .probe(k);
+        assert_eq!(report.outcome, ColoringOutcome::Unsat);
+        assert!(report.solver_stats.conflicts > 0);
+
+        // The wall starts at build, not at each probe: once it has
+        // elapsed, the same probe stops before any search.
+        let wall = Duration::from_millis(200);
+        let mut session = Strategy::paper_baseline()
+            .incremental(&g, k + 1)
+            .budget(RunBudget::new().with_wall(wall))
+            .build();
+        std::thread::sleep(wall + Duration::from_millis(50));
+        let report = session.probe(k);
+        assert_eq!(
+            report.outcome,
+            ColoringOutcome::Unknown(StopReason::Deadline)
+        );
+        assert_eq!(report.solver_stats.conflicts, 0);
+    }
+
+    #[test]
     fn probes_agree_with_from_scratch_solving() {
         let g = random_graph(12, 0.5, 9);
         let upper = 8;
@@ -563,7 +583,7 @@ mod tests {
     fn session_feeds_metrics_and_observer() {
         let g = random_graph(10, 0.5, 3);
         let registry = MetricsRegistry::new();
-        let recorder = Arc::new(MetricsRecorder::new());
+        let recorder = Arc::new(satroute_solver::MetricsRecorder::new());
         let mut session = Strategy::paper_best()
             .incremental(&g, 5)
             .metrics(registry.clone())
@@ -573,6 +593,13 @@ mod tests {
         let snap = registry.snapshot();
         assert_eq!(snap.counter("incremental.probes"), Some(session.probes()));
         assert!(snap.counter("incremental.reused_conflicts").is_some());
+        // Each probe re-attaches the warm solver; work is counted once.
+        let stats = session.solver_stats();
+        assert_eq!(snap.counter("solver.conflicts"), Some(stats.conflicts));
+        assert_eq!(
+            snap.counter("solver.propagations"),
+            Some(stats.propagations)
+        );
         // The observer saw the last probe's Finished event.
         assert!(recorder.snapshot().sat.is_some());
     }

@@ -45,9 +45,11 @@
 //!   and shrink it to a 1-minimal MUS over nets by warm deletion probes
 //!   ([`ExplainRequest`], built by [`Strategy::explain`]).
 //!
-//! Run control (budgets, cancellation tokens, observers) comes from
-//! [`satroute_solver::run`] and is threaded through every entry point;
-//! the commonly used types are re-exported here.
+//! Run control (budgets, cancellation tokens) comes from
+//! [`satroute_solver::run`] and is threaded through every entry point,
+//! as is one [`Telemetry`] value per builder bundling the tracer, metrics
+//! registry, flight recorder and observer; the commonly used types are
+//! re-exported here.
 //!
 //! # Examples
 //!
@@ -88,9 +90,8 @@ pub use catalog::{Encoding, EncodingId, ParseEncodingError};
 pub use conquer::{ConquerRequest, ConquerResult, CubeReport};
 pub use decode::{decode_coloring, DecodeError};
 pub use encode::{
-    encode_coloring, encode_coloring_grouped, encode_coloring_grouped_traced,
-    encode_coloring_incremental, encode_coloring_incremental_traced, encode_coloring_traced,
-    DecodeMap, EncodedColoring, GroupedEncoding, IncrementalEncoding,
+    encode_coloring, encode_coloring_grouped, encode_coloring_incremental, DecodeMap,
+    EncodedColoring, GroupedEncoding, IncrementalEncoding,
 };
 pub use explain::{ExplainOutcome, ExplainReport, ExplainRequest, NetCore, ShrinkStatus};
 pub use hier::TopScheme;
@@ -101,9 +102,8 @@ pub use pipeline::{
     PipelineError, RouteResult, RoutingPipeline, UnroutabilityCertificate, WidthSearch,
 };
 pub use portfolio::{
-    run_portfolio, run_portfolio_opts, run_portfolio_with, simulate_portfolio,
-    simulate_portfolio_with, MemberReport, PortfolioOptions, PortfolioResult, SharingBus,
-    SimulatedPortfolio,
+    run_portfolio_opts, simulate_portfolio, MemberReport, PortfolioOptions, PortfolioResult,
+    SharingBus, SimulatedPortfolio,
 };
 pub use scheme::SimpleScheme;
 pub use strategy::{ColoringOutcome, ColoringReport, SolveRequest, Strategy, TimingBreakdown};
@@ -114,7 +114,7 @@ pub use symmetry::SymmetryHeuristic;
 pub use satroute_solver::{
     CancellationToken, ClauseExchange, MetricsRecorder, NullObserver, PhaseInit, ProgressLogger,
     RestartScheme, RunBudget, RunMetrics, RunObserver, SharingConfig, SolverEvent, StopReason,
-    TraceObserver,
+    Telemetry, TraceObserver,
 };
 
 // Tracing vocabulary (spans, sinks, reports) from `satroute_obs`,

@@ -16,7 +16,9 @@ use std::sync::Arc;
 
 use satroute_fpga::{DetailedRouting, RoutingProblem};
 use satroute_obs::{FieldValue, FlightRecorder, MetricsRegistry, Tracer};
-use satroute_solver::{CancellationToken, RunBudget, RunObserver, SolverConfig, StopReason};
+use satroute_solver::{
+    CancellationToken, RunBudget, RunObserver, SolverConfig, StopReason, Telemetry,
+};
 
 use crate::strategy::{ColoringOutcome, ColoringReport, Strategy};
 
@@ -153,10 +155,7 @@ pub struct RoutingPipeline {
     config: SolverConfig,
     budget: RunBudget,
     cancel: Option<CancellationToken>,
-    observer: Option<Arc<dyn RunObserver>>,
-    tracer: Tracer,
-    metrics: MetricsRegistry,
-    flight: FlightRecorder,
+    telemetry: Telemetry,
 }
 
 impl fmt::Debug for RoutingPipeline {
@@ -165,7 +164,7 @@ impl fmt::Debug for RoutingPipeline {
             .field("strategy", &self.strategy)
             .field("config", &self.config)
             .field("budget", &self.budget)
-            .field("observed", &self.observer.is_some())
+            .field("telemetry", &self.telemetry)
             .finish_non_exhaustive()
     }
 }
@@ -178,10 +177,7 @@ impl RoutingPipeline {
             config: SolverConfig::default(),
             budget: RunBudget::default(),
             cancel: None,
-            observer: None,
-            tracer: Tracer::disabled(),
-            metrics: MetricsRegistry::disabled(),
-            flight: FlightRecorder::disabled(),
+            telemetry: Telemetry::default(),
         }
     }
 
@@ -192,8 +188,10 @@ impl RoutingPipeline {
     }
 
     /// Imposes a [`RunBudget`] on every solve the pipeline performs. Each
-    /// probe of a width search gets the budget individually; a shared
-    /// absolute `deadline_at` bounds the whole search.
+    /// probe of a cold width search gets the budget individually; a shared
+    /// absolute `deadline_at` bounds the whole search, and the warm
+    /// [`find_min_width_incremental`](Self::find_min_width_incremental)
+    /// ladder runs every probe against one deadline.
     pub fn with_budget(mut self, budget: RunBudget) -> Self {
         self.budget = budget;
         self
@@ -207,7 +205,7 @@ impl RoutingPipeline {
 
     /// Attaches an observer receiving every solve's event stream.
     pub fn with_observer(mut self, observer: Arc<dyn RunObserver>) -> Self {
-        self.observer = Some(observer);
+        self.telemetry.observer = Some(observer);
         self
     }
 
@@ -215,7 +213,7 @@ impl RoutingPipeline {
     /// `graph_generation`, `encode`, `solve`, `decode` and `verify`
     /// children (and a `certify` child for certified refutations).
     pub fn with_tracer(mut self, tracer: Tracer) -> Self {
-        self.tracer = tracer;
+        self.telemetry.tracer = tracer;
         self
     }
 
@@ -226,7 +224,7 @@ impl RoutingPipeline {
     /// family, per-encoding CNF sizes and encode/solve/decode phase
     /// times).
     pub fn with_metrics(mut self, registry: MetricsRegistry) -> Self {
-        self.metrics = registry;
+        self.telemetry.metrics = registry;
         self
     }
 
@@ -235,7 +233,7 @@ impl RoutingPipeline {
     /// solve carries a [`Postmortem`](satroute_obs::Postmortem) in its
     /// report.
     pub fn with_flight(mut self, recorder: FlightRecorder) -> Self {
-        self.flight = recorder;
+        self.telemetry.flight = recorder;
         self
     }
 
@@ -266,7 +264,7 @@ impl RoutingPipeline {
         width: u32,
     ) -> Result<RouteResult, PipelineError> {
         let span = self.route_span(width, false);
-        let (graph, graph_generation) = problem.conflict_graph_traced(&self.tracer);
+        let (graph, graph_generation) = problem.conflict_graph_traced(&self.telemetry.tracer);
         self.record_phase("phase.graph_generation_us", graph_generation);
 
         let mut report = self.request(&graph, width).run();
@@ -296,7 +294,7 @@ impl RoutingPipeline {
 
     /// Opens the per-width root span shared by both route paths.
     fn route_span(&self, width: u32, certified: bool) -> satroute_obs::SpanGuard {
-        self.tracer.span_with(
+        self.telemetry.tracer.span_with(
             "route",
             [
                 ("width", FieldValue::from(width)),
@@ -316,16 +314,11 @@ impl RoutingPipeline {
             .strategy
             .solve(graph, width)
             .config(self.config.clone())
-            .budget(self.budget)
-            .trace(self.tracer.clone())
-            .metrics(self.metrics.clone())
-            .flight(self.flight.clone());
+            .budget(self.budget);
         if let Some(token) = &self.cancel {
             request = request.cancel(token.clone());
         }
-        if let Some(observer) = &self.observer {
-            request = request.observe(observer.clone());
-        }
+        request.telemetry = self.telemetry.clone();
         request
     }
 
@@ -337,7 +330,7 @@ impl RoutingPipeline {
     /// Panics if verification fails — a soundness bug, not a run-time
     /// condition.
     fn verify(&self, problem: &RoutingProblem, width: u32, tracks: &[u32]) -> DetailedRouting {
-        let span = self.tracer.span("verify");
+        let span = self.telemetry.tracer.span("verify");
         let routing = DetailedRouting::from_tracks(tracks.to_vec());
         problem
             .verify_detailed_routing(&routing, width)
@@ -349,9 +342,10 @@ impl RoutingPipeline {
     /// Records one phase duration into the registry (no-op when metrics
     /// are disabled).
     fn record_phase(&self, name: &str, duration: std::time::Duration) {
-        if self.metrics.is_enabled() {
+        let metrics = &self.telemetry.metrics;
+        if metrics.is_enabled() {
             let micros = u64::try_from(duration.as_micros()).unwrap_or(u64::MAX);
-            self.metrics.histogram(name).record(micros);
+            metrics.histogram(name).record(micros);
         }
     }
 
@@ -389,7 +383,7 @@ impl RoutingPipeline {
         width: u32,
     ) -> Result<(RouteResult, Option<UnroutabilityCertificate>), PipelineError> {
         let span = self.route_span(width, true);
-        let (graph, graph_generation) = problem.conflict_graph_traced(&self.tracer);
+        let (graph, graph_generation) = problem.conflict_graph_traced(&self.telemetry.tracer);
         self.record_phase("phase.graph_generation_us", graph_generation);
 
         let (mut report, formula, proof) = self.request(&graph, width).run_certified();
@@ -500,11 +494,11 @@ impl RoutingPipeline {
         &self,
         problem: &RoutingProblem,
     ) -> Result<WidthSearch, PipelineError> {
-        let ladder_span = self.tracer.span_with(
+        let ladder_span = self.telemetry.tracer.span_with(
             "width_ladder",
             [("strategy", FieldValue::from(self.strategy.to_string()))],
         );
-        let (graph, graph_generation) = problem.conflict_graph_traced(&self.tracer);
+        let (graph, graph_generation) = problem.conflict_graph_traced(&self.telemetry.tracer);
         self.record_phase("phase.graph_generation_us", graph_generation);
         let upper = satroute_coloring::dsatur_coloring(&graph)
             .max_color()
@@ -514,16 +508,11 @@ impl RoutingPipeline {
             .strategy
             .incremental(&graph, upper)
             .config(self.config.clone())
-            .budget(self.budget)
-            .trace(self.tracer.clone())
-            .metrics(self.metrics.clone())
-            .flight(self.flight.clone());
+            .budget(self.budget);
         if let Some(token) = &self.cancel {
             builder = builder.cancel(token.clone());
         }
-        if let Some(observer) = &self.observer {
-            builder = builder.observe(observer.clone());
-        }
+        builder.telemetry = self.telemetry.clone();
         let mut session = builder.build();
 
         let mut probes = Vec::new();

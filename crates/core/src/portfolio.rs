@@ -6,20 +6,18 @@
 //! of a multicore CPU …, with the rest of the runs terminated as soon as
 //! one of them returns an answer."
 //!
-//! [`run_portfolio`] spawns one thread per strategy, all solving the same
-//! K-coloring instance. The first *decided* (SAT or UNSAT) result wins;
-//! a shared [`CancellationToken`] stops the losers at their next conflict
-//! boundary. Every member's report — including the losers' partial
-//! [`SolverStats`](satroute_solver::SolverStats) and
+//! [`run_portfolio_opts`] runs the strategies on worker threads, all
+//! solving the same K-coloring instance. The first *decided* (SAT or
+//! UNSAT) result wins; a shared [`CancellationToken`] stops the losers at
+//! their next conflict boundary. Every member's report — including the
+//! losers' partial [`SolverStats`](satroute_solver::SolverStats) and
 //! [`StopReason`] — is retained in the returned [`PortfolioResult`].
 //!
-//! [`run_portfolio_with`] additionally accepts a [`RunBudget`] imposed on
-//! the whole portfolio: a relative wall limit is converted to one shared
-//! absolute deadline, so members that start a few microseconds apart still
-//! race the same instant.
+//! A [`RunBudget`] is imposed on the whole portfolio: a relative wall
+//! limit is converted to one shared absolute deadline, so members that
+//! start a few microseconds apart still race the same instant.
 //!
-//! Beyond racing, members can *cooperate*: [`run_portfolio_opts`] accepts
-//! [`PortfolioOptions`] that (a) cap the number of concurrently running
+//! Beyond racing, members can *cooperate*: [`PortfolioOptions`] (a) cap the number of concurrently running
 //! members at the machine's parallelism (excess members are queued, so an
 //! N-member portfolio no longer degrades to a thread pile-up on a small
 //! box), (b) derive diversified solver configurations per member
@@ -40,11 +38,11 @@ use satroute_cnf::Lit;
 use satroute_coloring::CspGraph;
 use satroute_obs::{FieldValue, FlightRecorder, MetricsRegistry, Tracer};
 use satroute_solver::{
-    CancellationToken, ClauseExchange, FanoutObserver, RegistryObserver, RunBudget, RunObserver,
-    SharingConfig, SolverConfig, StopReason, TraceObserver,
+    CancellationToken, ClauseExchange, RunBudget, SharingConfig, SolverConfig, StopReason,
+    Telemetry,
 };
 
-use crate::strategy::{ColoringReport, Strategy};
+use crate::strategy::{anchored, ColoringReport, Strategy};
 
 /// Maximum clauses a member's inbox holds; exports beyond this are dropped
 /// (a slow importer must not make peers buffer unboundedly).
@@ -141,69 +139,6 @@ impl PortfolioResult {
     }
 }
 
-/// Runs `strategies` in parallel on the K-coloring problem of `graph` and
-/// returns the first decided answer plus every member's report.
-///
-/// Equivalent to [`run_portfolio_with`] with an unlimited budget and no
-/// external cancellation.
-///
-/// # Examples
-///
-/// ```
-/// use satroute_coloring::CspGraph;
-/// use satroute_core::{run_portfolio, ColoringOutcome, Strategy};
-/// use satroute_solver::SolverConfig;
-///
-/// let triangle = CspGraph::from_edges(3, [(0, 1), (1, 2), (0, 2)]);
-/// let portfolio = Strategy::paper_portfolio_3();
-/// let result = run_portfolio(&triangle, 2, &portfolio, &SolverConfig::default());
-/// let report = result.report().expect("portfolio decides");
-/// assert!(matches!(report.outcome, ColoringOutcome::Unsat));
-/// assert_eq!(result.members.len(), portfolio.len());
-/// ```
-pub fn run_portfolio(
-    graph: &CspGraph,
-    k: u32,
-    strategies: &[Strategy],
-    config: &SolverConfig,
-) -> PortfolioResult {
-    run_portfolio_with(graph, k, strategies, config, RunBudget::default(), None)
-}
-
-/// Runs a portfolio under a shared [`RunBudget`] and an optional external
-/// [`CancellationToken`].
-///
-/// A relative wall limit (`budget.wall`) is resolved once, at launch, into
-/// an absolute deadline shared by all members; if the caller also supplied
-/// an absolute `deadline_at`, the *earlier* of the two wins. Each member
-/// additionally honours the budget's conflict/decision/memory caps
-/// individually. Cancelling `cancel` (from any thread) stops every member
-/// at its next poll point; the same token is used internally to stop
-/// losers once a winner is known.
-///
-/// Concurrency is capped at [`std::thread::available_parallelism`];
-/// members beyond the cap are queued and start as workers free up (use
-/// [`run_portfolio_opts`] with [`PortfolioOptions::with_max_threads`] to
-/// override, and for clause sharing / diversification).
-pub fn run_portfolio_with(
-    graph: &CspGraph,
-    k: u32,
-    strategies: &[Strategy],
-    config: &SolverConfig,
-    budget: RunBudget,
-    cancel: Option<CancellationToken>,
-) -> PortfolioResult {
-    run_portfolio_opts(
-        graph,
-        k,
-        strategies,
-        config,
-        budget,
-        cancel,
-        &PortfolioOptions::default(),
-    )
-}
-
 /// Execution options for [`run_portfolio_opts`]: thread cap, clause
 /// sharing, and per-member configuration diversification.
 ///
@@ -235,26 +170,23 @@ pub struct PortfolioOptions {
     /// [`SolverConfig::diversified`]`(i)` of the base configuration
     /// instead of the base itself (member 0 keeps the base).
     pub diversify: bool,
-    /// Trace destination. The disabled default records nothing; an enabled
-    /// tracer gets a `portfolio` root span with one `member` child span per
-    /// member (fields: `index`, `strategy`; counters/marks bridged from the
-    /// member's solver via [`TraceObserver`]), each member's own
-    /// encode/solve/decode spans nesting beneath it.
-    pub tracer: Tracer,
-    /// Metrics destination. The disabled default records nothing; an
-    /// enabled registry receives the aggregate `solver.*` instruments
-    /// (fed by every member's solver hot path) plus a
-    /// `portfolio.member_<i>.*` family per member — conflict /
-    /// propagation totals, wall-time histogram, props/sec and outcome
-    /// counts, bridged via
-    /// [`RegistryObserver`](satroute_solver::RegistryObserver).
-    pub metrics: MetricsRegistry,
-    /// Flight-recorder destination. The disabled default records nothing;
-    /// an enabled recorder receives every member's search-state samples,
-    /// each stamped with the member's index, and a member stopped by the
-    /// shared budget (or cancelled as a loser) carries a
-    /// [`Postmortem`](satroute_obs::Postmortem) in its report.
-    pub flight: FlightRecorder,
+    /// Telemetry destinations; the disabled default records nothing. Each
+    /// member runs under its [`Telemetry::member`] scope:
+    ///
+    /// * an enabled tracer gets a `portfolio` root span with one `member`
+    ///   child span per member (fields: `index`, `strategy`; counters and
+    ///   marks bridged from the member's solver), each member's own
+    ///   encode/solve/decode spans nesting beneath it;
+    /// * an enabled registry receives the aggregate `solver.*` instruments
+    ///   (fed by every member's solver hot path) plus a
+    ///   `portfolio.member_<i>.*` family per member — conflict /
+    ///   propagation totals, wall-time histogram, props/sec and outcome
+    ///   counts;
+    /// * an enabled flight recorder receives every member's search-state
+    ///   samples, each stamped with the member's index, and a member
+    ///   stopped by the shared budget (or cancelled as a loser) carries a
+    ///   [`Postmortem`](satroute_obs::Postmortem) in its report.
+    pub telemetry: Telemetry,
 }
 
 impl PortfolioOptions {
@@ -282,23 +214,23 @@ impl PortfolioOptions {
         self
     }
 
-    /// Records the run into `tracer` (see the `tracer` field).
+    /// Records the run into `tracer` (see the `telemetry` field).
     pub fn with_tracer(mut self, tracer: Tracer) -> Self {
-        self.tracer = tracer;
+        self.telemetry.tracer = tracer;
         self
     }
 
     /// Records aggregate and per-member metrics into `registry` (see the
-    /// `metrics` field).
+    /// `telemetry` field).
     pub fn with_metrics(mut self, registry: MetricsRegistry) -> Self {
-        self.metrics = registry;
+        self.telemetry.metrics = registry;
         self
     }
 
     /// Records per-member search-state samples into `recorder` (see the
-    /// `flight` field).
+    /// `telemetry` field).
     pub fn with_flight(mut self, recorder: FlightRecorder) -> Self {
-        self.flight = recorder;
+        self.telemetry.flight = recorder;
         self
     }
 }
@@ -417,8 +349,16 @@ fn default_thread_cap() -> usize {
     std::thread::available_parallelism().map_or(1, |p| p.get())
 }
 
-/// Runs a portfolio with full control over threading, sharing and
-/// diversification — the general form of [`run_portfolio_with`].
+/// Runs `strategies` in parallel on the K-coloring problem of `graph` and
+/// returns the first decided answer plus every member's report.
+///
+/// A relative wall limit (`budget.wall`) is resolved once, at launch, into
+/// an absolute deadline shared by all members; if the caller also supplied
+/// an absolute `deadline_at`, the *earlier* of the two wins. Each member
+/// additionally honours the budget's conflict/decision/memory caps
+/// individually. Cancelling `cancel` (from any thread) stops every member
+/// at its next poll point; the same token is used internally to stop
+/// losers once a winner is known.
 ///
 /// At most `opts.max_threads` members run concurrently (default: the
 /// machine's parallelism); remaining members queue and are claimed by idle
@@ -462,15 +402,8 @@ pub fn run_portfolio_opts(
     opts: &PortfolioOptions,
 ) -> PortfolioResult {
     let start = Instant::now();
-    // Convert a relative wall limit into one absolute deadline so members
-    // that start at slightly different times race the same instant. When
-    // the caller supplied an absolute deadline too, `RunBudget::deadline`
-    // resolves to the earlier of the two.
-    let mut budget = budget;
-    if let Some(deadline) = budget.deadline(start) {
-        budget.deadline_at = Some(deadline);
-        budget.wall = None;
-    }
+    // Members that start at slightly different times race one instant.
+    let budget = anchored(budget, start);
     let stop = cancel.unwrap_or_default();
     let n = strategies.len();
     let cap = opts
@@ -487,8 +420,8 @@ pub fn run_portfolio_opts(
             }
         })
         .collect();
-    let tracer = &opts.tracer;
-    let metrics = &opts.metrics;
+    let telemetry = &opts.telemetry;
+    let tracer = &telemetry.tracer;
     let root = tracer.span_with(
         "portfolio",
         [
@@ -529,39 +462,9 @@ pub fn run_portfolio_opts(
                     .solve(graph, k)
                     .config(configs[idx].clone())
                     .budget(budget)
-                    .cancel(stop.clone())
-                    .trace(tracer.clone())
-                    .metrics(metrics.clone())
-                    .flight(opts.flight.labelled(idx as u64));
-                // `observe` replaces rather than appends, so the trace and
-                // metrics bridges must be composed up front.
-                let mut observers: Vec<Arc<dyn RunObserver>> = Vec::new();
-                if tracer.is_enabled() {
-                    // Bridge solver heartbeats and final counters onto the
-                    // member span so traces report per-member props/sec.
-                    observers.push(Arc::new(TraceObserver::new(
-                        tracer.clone(),
-                        member_span.id(),
-                    )));
-                }
-                if metrics.is_enabled() {
-                    // Per-member counter family alongside the shared
-                    // `solver.*` instruments the member's solver feeds.
-                    observers.push(Arc::new(RegistryObserver::new(
-                        metrics,
-                        &format!("portfolio.member_{idx}."),
-                    )));
-                }
-                request = match observers.len() {
-                    0 => request,
-                    1 => request.observe(observers.pop().expect("len checked")),
-                    _ => {
-                        let fanout = observers
-                            .drain(..)
-                            .fold(FanoutObserver::new(), FanoutObserver::with);
-                        request.observe(Arc::new(fanout))
-                    }
-                };
+                    .cancel(stop.clone());
+                request.telemetry =
+                    telemetry.member(idx, member_span.id(), Some("portfolio.member_"));
                 if let (Some(sharing), Some(bus)) = (sharing, bus) {
                     if let Some(exchange) = bus.exchange(idx) {
                         request = request.share(exchange, sharing);
@@ -656,26 +559,16 @@ impl SimulatedPortfolio {
 /// the minimum decided time as the virtual parallel wall time.
 ///
 /// On a CPU with at least `strategies.len()` idle cores,
-/// [`run_portfolio`]'s real wall time converges to this value (plus
+/// [`run_portfolio_opts`]'s real wall time converges to this value (plus
 /// scheduling noise); on a single core the real portfolio degrades to
 /// roughly the *sum* of member times, which is why this simulation exists
 /// (see DESIGN.md, substitution table).
-pub fn simulate_portfolio(
-    graph: &CspGraph,
-    k: u32,
-    strategies: &[Strategy],
-    config: &SolverConfig,
-) -> SimulatedPortfolio {
-    simulate_portfolio_with(graph, k, strategies, config, RunBudget::default())
-}
-
-/// Simulates a portfolio with a per-member [`RunBudget`].
 ///
-/// Because members run sequentially here, the budget (including a `wall`
+/// Because members run sequentially here, `budget` (including a `wall`
 /// limit) applies to each member individually — that is what each member
 /// would get on an ideal parallel machine. An absolute `deadline_at` is
 /// almost certainly wrong for a simulation and is left untouched.
-pub fn simulate_portfolio_with(
+pub fn simulate_portfolio(
     graph: &CspGraph,
     k: u32,
     strategies: &[Strategy],
@@ -766,10 +659,24 @@ mod tests {
     use crate::strategy::ColoringOutcome;
     use satroute_coloring::{exact, random_graph};
 
+    /// [`run_portfolio_opts`] with the default solver configuration and
+    /// options.
+    fn race(
+        g: &CspGraph,
+        k: u32,
+        strategies: &[Strategy],
+        budget: RunBudget,
+        cancel: Option<CancellationToken>,
+    ) -> PortfolioResult {
+        let config = SolverConfig::default();
+        let opts = PortfolioOptions::default();
+        run_portfolio_opts(g, k, strategies, &config, budget, cancel, &opts)
+    }
+
     #[test]
     fn empty_portfolio_is_undecided() {
         let g = CspGraph::new(2);
-        let result = run_portfolio(&g, 1, &[], &SolverConfig::default());
+        let result = race(&g, 1, &[], RunBudget::default(), None);
         assert!(!result.is_decided());
         assert!(result.members.is_empty());
         assert!(result.report().is_none());
@@ -781,7 +688,7 @@ mod tests {
         let chi = exact::chromatic_number(&g);
         let portfolio = Strategy::paper_portfolio_3();
 
-        let sat = run_portfolio(&g, chi, &portfolio, &SolverConfig::default());
+        let sat = race(&g, chi, &portfolio, RunBudget::default(), None);
         match &sat.report().expect("decides").outcome {
             ColoringOutcome::Colorable(c) => assert!(c.is_proper(&g)),
             other => panic!("expected colorable, got {other:?}"),
@@ -791,7 +698,7 @@ mod tests {
         assert_eq!(sat.strategy(), Some(portfolio[winner]));
         assert_eq!(sat.members.len(), portfolio.len());
 
-        let unsat = run_portfolio(&g, chi - 1, &portfolio, &SolverConfig::default());
+        let unsat = race(&g, chi - 1, &portfolio, RunBudget::default(), None);
         assert!(matches!(
             unsat.report().expect("decides").outcome,
             ColoringOutcome::Unsat
@@ -803,7 +710,7 @@ mod tests {
         let g = random_graph(10, 0.5, 3);
         let chi = exact::chromatic_number(&g);
         let portfolio = Strategy::paper_portfolio_3();
-        let result = run_portfolio(&g, chi - 1, &portfolio, &SolverConfig::default());
+        let result = race(&g, chi - 1, &portfolio, RunBudget::default(), None);
         assert!(result.is_decided());
         for (idx, member) in result.members.iter().enumerate() {
             assert_eq!(member.strategy, portfolio[idx]);
@@ -824,14 +731,7 @@ mod tests {
         let budget = RunBudget::new().with_max_conflicts(1);
         // With a 1-conflict budget on a hard instance every member returns
         // Unknown (or, rarely, one finishes instantly — accept both).
-        let result = run_portfolio_with(
-            &g,
-            9,
-            &Strategy::paper_portfolio_2(),
-            &SolverConfig::default(),
-            budget,
-            None,
-        );
+        let result = race(&g, 9, &Strategy::paper_portfolio_2(), budget, None);
         for member in &result.members {
             if !member.is_decided() {
                 assert!(matches!(
@@ -849,14 +749,7 @@ mod tests {
     fn expired_deadline_stops_every_member() {
         let g = random_graph(30, 0.6, 5);
         let budget = RunBudget::new().with_wall(Duration::ZERO);
-        let result = run_portfolio_with(
-            &g,
-            9,
-            &Strategy::paper_portfolio_2(),
-            &SolverConfig::default(),
-            budget,
-            None,
-        );
+        let result = race(&g, 9, &Strategy::paper_portfolio_2(), budget, None);
         assert!(!result.is_decided());
         for member in &result.members {
             assert_eq!(member.stop_reason(), Some(StopReason::Deadline));
@@ -868,11 +761,10 @@ mod tests {
         let g = random_graph(30, 0.6, 5);
         let token = CancellationToken::new();
         token.cancel();
-        let result = run_portfolio_with(
+        let result = race(
             &g,
             9,
             &Strategy::paper_portfolio_2(),
-            &SolverConfig::default(),
             RunBudget::default(),
             Some(token),
         );
@@ -887,7 +779,13 @@ mod tests {
         let g = random_graph(12, 0.5, 11);
         let chi = exact::chromatic_number(&g);
         let strategies = Strategy::paper_portfolio_3();
-        let sim = simulate_portfolio(&g, chi - 1, &strategies, &SolverConfig::default());
+        let sim = simulate_portfolio(
+            &g,
+            chi - 1,
+            &strategies,
+            &SolverConfig::default(),
+            RunBudget::default(),
+        );
         assert!(matches!(
             sim.report().expect("members decide").outcome,
             ColoringOutcome::Unsat
@@ -906,7 +804,7 @@ mod tests {
     #[test]
     fn simulated_portfolio_empty_is_undecided() {
         let g = CspGraph::new(2);
-        let sim = simulate_portfolio(&g, 1, &[], &SolverConfig::default());
+        let sim = simulate_portfolio(&g, 1, &[], &SolverConfig::default(), RunBudget::default());
         assert!(!sim.is_decided());
         assert_eq!(sim.virtual_wall_time, Duration::ZERO);
     }
@@ -930,14 +828,7 @@ mod tests {
             .with_wall(Duration::from_secs(3600))
             .with_deadline_at(Instant::now());
         let start = Instant::now();
-        let result = run_portfolio_with(
-            &g,
-            9,
-            &Strategy::paper_portfolio_2(),
-            &SolverConfig::default(),
-            budget,
-            None,
-        );
+        let result = race(&g, 9, &Strategy::paper_portfolio_2(), budget, None);
         assert!(
             start.elapsed() < Duration::from_secs(60),
             "expired deadline_at must win over a huge wall limit"
@@ -954,14 +845,7 @@ mod tests {
             .with_wall(Duration::ZERO)
             .with_deadline_at(Instant::now() + Duration::from_secs(3600));
         let start = Instant::now();
-        let result = run_portfolio_with(
-            &g,
-            9,
-            &Strategy::paper_portfolio_2(),
-            &SolverConfig::default(),
-            budget,
-            None,
-        );
+        let result = race(&g, 9, &Strategy::paper_portfolio_2(), budget, None);
         assert!(
             start.elapsed() < Duration::from_secs(60),
             "zero wall must win over a distant deadline_at"

@@ -9,27 +9,27 @@
 //! Runs are configured through the builder returned by
 //! [`Strategy::solve`]: a [`SolveRequest`] carries the solver
 //! configuration, an optional [`RunBudget`], a [`CancellationToken`] and a
-//! [`RunObserver`] — the same run-control surface the underlying
-//! [`CdclSolver`] exposes, threaded through the encode/decode pipeline.
+//! [`Telemetry`] (tracer, metrics, flight recorder, [`RunObserver`]) — the
+//! same run-control surface the underlying [`CdclSolver`] exposes, threaded
+//! through the encode/decode pipeline.
 
 use std::fmt;
-use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use satroute_cnf::{CnfFormula, FormulaStats, Lit};
 use satroute_coloring::{Coloring, CspGraph};
 use satroute_obs::{FieldValue, FlightRecorder, MetricsRegistry, Postmortem, Tracer};
 use satroute_solver::preprocess::{preprocess, PreprocessStats, Simplification};
 use satroute_solver::{
-    CancellationToken, CdclSolver, ClauseExchange, DratProof, FanoutObserver, MetricsRecorder,
-    RunBudget, RunMetrics, RunObserver, SharingConfig, SolveOutcome, SolverConfig,
-    SolverMetricsHub, SolverStats, StopReason, TraceObserver,
+    CancellationToken, CdclSolver, ClauseExchange, DratProof, RunBudget, RunMetrics, RunObserver,
+    SharingConfig, SolveOutcome, SolverConfig, SolverMetricsHub, SolverStats, StopReason,
+    Telemetry,
 };
 
 use crate::catalog::EncodingId;
 use crate::decode::decode_coloring;
-use crate::encode::encode_coloring_instrumented;
+use crate::encode::{emit, Selectors};
 use crate::symmetry::SymmetryHeuristic;
 
 /// The answer of a strategy run on a K-coloring instance.
@@ -89,6 +89,19 @@ impl TimingBreakdown {
     pub fn total(&self) -> Duration {
         self.graph_generation + self.cnf_translation + self.sat_solving
     }
+}
+
+/// `budget` with a relative wall limit resolved into one absolute
+/// deadline counted from `start` (the earlier of it and any
+/// `deadline_at`), so every solve under it — portfolio members, cubes,
+/// ladder probes — races the same instant instead of restarting the
+/// wall clock.
+pub(crate) fn anchored(mut budget: RunBudget, start: Instant) -> RunBudget {
+    if let Some(deadline) = budget.deadline(start) {
+        budget.deadline_at = Some(deadline);
+        budget.wall = None;
+    }
+    budget
 }
 
 /// DIMACS rendering of a failed-assumption core for postmortems.
@@ -208,11 +221,8 @@ impl Strategy {
             config: SolverConfig::default(),
             budget: RunBudget::default(),
             cancel: None,
-            observer: None,
             exchange: None,
-            tracer: Tracer::disabled(),
-            metrics: MetricsRegistry::disabled(),
-            flight: FlightRecorder::disabled(),
+            telemetry: Telemetry::default(),
             assumptions: Vec::new(),
             preprocess: false,
         }
@@ -286,29 +296,6 @@ impl Strategy {
     pub fn solve_coloring(&self, graph: &CspGraph, k: u32) -> ColoringReport {
         self.solve(graph, k).run()
     }
-
-    /// Solves with an explicit solver configuration and an optional
-    /// cooperative cancellation flag.
-    ///
-    /// Deprecated: use the [`Strategy::solve`] builder, which also exposes
-    /// budgets and observers.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use Strategy::solve(graph, k).config(..).cancel(..).run() instead"
-    )]
-    pub fn solve_coloring_with(
-        &self,
-        graph: &CspGraph,
-        k: u32,
-        config: &SolverConfig,
-        terminate: Option<Arc<AtomicBool>>,
-    ) -> ColoringReport {
-        let mut request = self.solve(graph, k).config(config.clone());
-        if let Some(flag) = terminate {
-            request = request.cancel(CancellationToken::from_flag(flag));
-        }
-        request.run()
-    }
 }
 
 /// A configured-but-not-yet-started strategy run, built by
@@ -325,11 +312,8 @@ pub struct SolveRequest<'a> {
     config: SolverConfig,
     budget: RunBudget,
     cancel: Option<CancellationToken>,
-    observer: Option<Arc<dyn RunObserver>>,
     exchange: Option<(Arc<dyn ClauseExchange>, SharingConfig)>,
-    tracer: Tracer,
-    metrics: MetricsRegistry,
-    flight: FlightRecorder,
+    pub(crate) telemetry: Telemetry,
     assumptions: Vec<Lit>,
     preprocess: bool,
 }
@@ -341,8 +325,8 @@ impl fmt::Debug for SolveRequest<'_> {
             .field("k", &self.k)
             .field("budget", &self.budget)
             .field("cancelled", &self.cancel.as_ref().map(|c| c.is_cancelled()))
-            .field("observed", &self.observer.is_some())
             .field("shared", &self.exchange.is_some())
+            .field("telemetry", &self.telemetry)
             .finish_non_exhaustive()
     }
 }
@@ -374,7 +358,7 @@ impl<'a> SolveRequest<'a> {
     /// [`SolverEvent`](satroute_solver::SolverEvent) stream alongside the
     /// internally recorded metrics.
     pub fn observe(mut self, observer: Arc<dyn RunObserver>) -> Self {
-        self.observer = Some(observer);
+        self.telemetry.observer = Some(observer);
         self
     }
 
@@ -395,7 +379,7 @@ impl<'a> SolveRequest<'a> {
     /// CNF-size counters), `solve` and `decode` spans under the caller's
     /// current span. A disabled tracer (the default) records nothing.
     pub fn trace(mut self, tracer: Tracer) -> Self {
-        self.tracer = tracer;
+        self.telemetry.tracer = tracer;
         self
     }
 
@@ -420,7 +404,7 @@ impl<'a> SolveRequest<'a> {
     /// time into a `phase.*_us` histogram. A disabled registry (the
     /// default) records nothing and costs one branch per boundary.
     pub fn metrics(mut self, registry: MetricsRegistry) -> Self {
-        self.metrics = registry;
+        self.telemetry.metrics = registry;
         self
     }
 
@@ -445,7 +429,7 @@ impl<'a> SolveRequest<'a> {
     /// carries a [`Postmortem`] in the report. A disabled recorder (the
     /// default) records nothing and costs one branch per boundary.
     pub fn flight(mut self, recorder: FlightRecorder) -> Self {
-        self.flight = recorder;
+        self.telemetry.flight = recorder;
         self
     }
 
@@ -483,15 +467,19 @@ impl<'a> SolveRequest<'a> {
         self,
         with_proof: bool,
     ) -> (ColoringReport, Option<CnfFormula>, Option<DratProof>) {
-        let tracer = self.tracer.clone();
-        let metrics = self.metrics.clone();
-        let encoded = encode_coloring_instrumented(
+        let Telemetry {
+            tracer,
+            metrics,
+            flight,
+            ..
+        } = &self.telemetry;
+        let (encoded, _) = emit(
             self.graph,
             self.k,
             &self.strategy.encoding.encoding(),
             self.strategy.symmetry,
-            &tracer,
-            &metrics,
+            Selectors::None,
+            &self.telemetry,
         );
         let formula_stats = encoded.formula.stats();
 
@@ -510,24 +498,11 @@ impl<'a> SolveRequest<'a> {
             "solve",
             [("strategy", FieldValue::from(self.strategy.to_string()))],
         );
-        let recorder = Arc::new(MetricsRecorder::new());
-        let mut fanout = FanoutObserver::new().with(recorder.clone() as Arc<dyn RunObserver>);
-        if let Some(user) = &self.observer {
-            fanout = fanout.with(user.clone());
-        }
-        if tracer.is_enabled() {
-            fanout = fanout.with(Arc::new(TraceObserver::new(
-                tracer.clone(),
-                solve_span.id(),
-            )));
-        }
-
         let mut solver = CdclSolver::with_config(self.config);
         if with_proof {
             solver.enable_proof_logging();
         }
-        solver.set_metrics(&metrics);
-        solver.set_flight(&self.flight);
+        let recorder = self.telemetry.attach(&mut solver, solve_span.id());
         solver.set_budget(self.budget);
         if let Some(token) = self.cancel {
             solver.set_cancellation(token);
@@ -535,7 +510,6 @@ impl<'a> SolveRequest<'a> {
         if let Some((exchange, sharing)) = self.exchange {
             solver.set_exchange(exchange, sharing);
         }
-        solver.set_observer(Arc::new(fanout));
         match &pre {
             // A preprocessor UNSAT came from unit propagation alone, so
             // the solver re-derives it instantly from the original
@@ -610,7 +584,7 @@ impl<'a> SolveRequest<'a> {
         if let Some((_, pstats)) = &pre {
             run_metrics.preprocess = *pstats;
             if metrics.is_enabled() {
-                SolverMetricsHub::from_registry(&metrics).on_preprocess(pstats);
+                SolverMetricsHub::from_registry(metrics).on_preprocess(pstats);
             }
         }
         let timing = TimingBreakdown {
@@ -621,8 +595,8 @@ impl<'a> SolveRequest<'a> {
             sat_solving,
         };
         let postmortem = match &outcome {
-            ColoringOutcome::Unknown(reason) if self.flight.is_enabled() => {
-                let mut pm = Postmortem::from_recorder(&self.flight, reason.to_string());
+            ColoringOutcome::Unknown(reason) if flight.is_enabled() => {
+                let mut pm = Postmortem::from_recorder(flight, reason.to_string());
                 pm.hottest_phase = Some(hottest_phase(&timing).to_string());
                 if let Some(failed) = &failed_assumptions {
                     pm.failed_assumptions = postmortem_core(failed);
@@ -781,15 +755,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn deprecated_entry_point_still_solves() {
-        let g = random_graph(8, 0.5, 3);
-        let report =
-            Strategy::paper_baseline().solve_coloring_with(&g, 8, &SolverConfig::default(), None);
-        assert!(report.outcome.is_decided());
-    }
-
-    #[test]
     fn assumed_run_steers_the_model() {
         use satroute_cnf::Var;
         // Muldirect layout: vertex v's block starts at v*k, pattern d is
@@ -843,7 +808,7 @@ mod tests {
     #[test]
     fn user_observer_receives_the_event_stream() {
         let g = random_graph(14, 0.6, 4);
-        let user = Arc::new(MetricsRecorder::new());
+        let user = Arc::new(satroute_solver::MetricsRecorder::new());
         let report = Strategy::paper_baseline()
             .solve(&g, 3)
             .observe(user.clone())

@@ -19,7 +19,6 @@
 //! search, which makes the benchmark tables reproducible run to run.
 
 use std::fmt;
-use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -531,20 +530,6 @@ impl CdclSolver {
         &self.failed_assumptions
     }
 
-    /// Installs a cooperative cancellation flag.
-    ///
-    /// Deprecated: wrap the flag in a [`CancellationToken`] (or create one
-    /// with [`CancellationToken::new`]) and pass it to
-    /// [`CdclSolver::set_cancellation`]. Stores through the original `Arc`
-    /// keep working — the token shares the flag.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use set_cancellation(CancellationToken) instead"
-    )]
-    pub fn set_terminate_flag(&mut self, flag: Arc<AtomicBool>) {
-        self.set_cancellation(CancellationToken::from_flag(flag));
-    }
-
     /// Installs a cooperative [`CancellationToken`].
     ///
     /// Once any clone of the token is cancelled, [`CdclSolver::solve`]
@@ -592,8 +577,11 @@ impl CdclSolver {
     /// boundaries, so the per-propagation hot path is untouched; with a
     /// [disabled](MetricsRegistry::disabled) registry every boundary
     /// call is a single branch.
+    ///
+    /// Only work done after this call is counted, so re-attaching a warm
+    /// solver between solves never counts earlier work twice.
     pub fn set_metrics(&mut self, registry: &MetricsRegistry) {
-        self.metrics = SolverMetricsHub::from_registry(registry);
+        self.metrics = SolverMetricsHub::from_registry(registry).since(&self.stats);
     }
 
     /// Attaches a [`FlightRecorder`]: subsequent solves capture a
@@ -2179,16 +2167,6 @@ mod tests {
         let token = CancellationToken::new();
         token.cancel();
         s.set_cancellation(token);
-        s.add_formula(&pigeonhole(9, 8));
-        assert_eq!(s.solve(), SolveOutcome::Unknown(StopReason::Cancelled));
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn legacy_terminate_flag_still_works() {
-        let mut s = CdclSolver::new();
-        let flag = Arc::new(AtomicBool::new(true));
-        s.set_terminate_flag(Arc::clone(&flag));
         s.add_formula(&pigeonhole(9, 8));
         assert_eq!(s.solve(), SolveOutcome::Unknown(StopReason::Cancelled));
     }

@@ -24,6 +24,8 @@
 //! [`CancellationToken`], and a [`SolverEvent`] stream delivered to
 //! [`RunObserver`] sinks such as [`MetricsRecorder`]. An early stop is
 //! reported as [`SolveOutcome::Unknown`] carrying a typed [`StopReason`].
+//! [`Telemetry`] bundles a run's tracer, metrics registry, flight recorder
+//! and observer, and [`Telemetry::attach`] wires all of them to a solver.
 //!
 //! # Examples
 //!
@@ -60,6 +62,7 @@ mod proof;
 pub mod cubes;
 pub mod preprocess;
 pub mod run;
+pub mod telemetry;
 
 pub use arena::{ClauseArena, ClauseRef, Forwarding, Tier};
 pub use cdcl::{CdclSolver, PhaseInit, ReducePolicy, RestartScheme, SolverConfig, SolverStats};
@@ -76,3 +79,4 @@ pub use run::{
     PROGRESS_LOG_MIN_INTERVAL,
 };
 pub use satroute_obs::{FlightRecorder, SampleCause, TimelineSample};
+pub use telemetry::Telemetry;

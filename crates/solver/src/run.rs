@@ -12,8 +12,7 @@
 //!   [`SolveOutcome::Unknown`](crate::SolveOutcome::Unknown), so callers can
 //!   distinguish "out of time" from "cancelled because a sibling won".
 //! * [`CancellationToken`] — a cheap-to-clone handle for cooperative
-//!   cancellation across threads (replaces passing a raw
-//!   `Arc<AtomicBool>`).
+//!   cancellation across threads.
 //! * [`SolverEvent`] / [`RunObserver`] — a typed event stream (restarts,
 //!   clause-database reductions, periodic progress with rates and the
 //!   learnt-clause LBD trend) delivered to pluggable sinks:
@@ -60,7 +59,7 @@ use crate::preprocess::PreprocessStats;
 /// Why a solve stopped without a SAT/UNSAT answer.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum StopReason {
-    /// A [`CancellationToken`] (or legacy terminate flag) was triggered.
+    /// A [`CancellationToken`] was triggered.
     Cancelled,
     /// The wall-clock deadline of the [`RunBudget`] passed.
     Deadline,
@@ -113,13 +112,6 @@ impl CancellationToken {
     /// Creates a token in the not-cancelled state.
     pub fn new() -> Self {
         CancellationToken::default()
-    }
-
-    /// Wraps an existing shared flag (bridge for the deprecated
-    /// `Arc<AtomicBool>`-based interface); stores through the original
-    /// `Arc` remain visible through the token.
-    pub fn from_flag(flag: Arc<AtomicBool>) -> Self {
-        CancellationToken { flag }
     }
 
     /// Requests cancellation. Idempotent; there is no un-cancel.
@@ -965,6 +957,15 @@ impl SolverMetricsHub {
         }
     }
 
+    /// Baselines the delta counters at `stats`, so a hub attached to a
+    /// warm solver counts only the work done after attaching.
+    #[must_use]
+    pub(crate) fn since(mut self, stats: &SolverStats) -> Self {
+        self.last = *stats;
+        self.last_restart_conflicts = stats.conflicts;
+        self
+    }
+
     /// Whether this hub feeds a live registry.
     #[inline]
     pub fn is_enabled(&self) -> bool {
@@ -1201,15 +1202,6 @@ mod tests {
         assert!(!t.is_cancelled() && !c.is_cancelled());
         c.cancel();
         assert!(t.is_cancelled() && c.is_cancelled());
-    }
-
-    #[test]
-    fn legacy_flag_bridge_observes_external_stores() {
-        let flag = Arc::new(AtomicBool::new(false));
-        let t = CancellationToken::from_flag(Arc::clone(&flag));
-        assert!(!t.is_cancelled());
-        flag.store(true, Ordering::Relaxed);
-        assert!(t.is_cancelled());
     }
 
     #[test]

@@ -5,9 +5,9 @@
 
 use std::time::Instant;
 
-use satroute::core::{run_portfolio, Strategy};
+use satroute::core::{run_portfolio_opts, PortfolioOptions, Strategy};
 use satroute::fpga::benchmarks;
-use satroute::solver::SolverConfig;
+use satroute::solver::{RunBudget, SolverConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let config = SolverConfig::default();
@@ -31,7 +31,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
         // The portfolio in parallel.
         let portfolio = Strategy::paper_portfolio_3();
-        let result = run_portfolio(&instance.conflict_graph, width, &portfolio, &config);
+        let result = run_portfolio_opts(
+            &instance.conflict_graph,
+            width,
+            &portfolio,
+            &config,
+            RunBudget::default(),
+            None,
+            &PortfolioOptions::default(),
+        );
         let winner = result
             .strategy()
             .expect("portfolio decides without a budget");

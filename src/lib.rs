@@ -70,7 +70,7 @@ pub use satroute_solver as solver;
 pub use satroute_solver::{
     CancellationToken, FanoutObserver, MetricsRecorder, NullObserver, ProgressLogger,
     RegistryObserver, RunBudget, RunMetrics, RunObserver, SolveVerdict, SolverEvent, StopReason,
-    TraceObserver,
+    Telemetry, TraceObserver,
 };
 
 pub use satroute_obs::{

@@ -98,9 +98,9 @@ use satroute::obs::json::Value;
 use satroute::obs::FieldValue;
 use satroute::solver::{CdclSolver, SolveOutcome};
 use satroute::{
-    chrome_trace, collapsed_stacks, parse_jsonl, FanoutObserver, FlightRecorder, MetricsRegistry,
-    Postmortem, ProgressLogger, RunBudget, RunObserver, SpanForest, TimelineReport, TraceObserver,
-    TraceReport, TraceWriter, Tracer,
+    chrome_trace, collapsed_stacks, parse_jsonl, FlightRecorder, MetricsRegistry, Postmortem,
+    ProgressLogger, RunBudget, SpanForest, Telemetry, TimelineReport, TraceReport, TraceWriter,
+    Tracer,
 };
 
 fn main() -> ExitCode {
@@ -677,17 +677,16 @@ fn dispatch(
             if opts.proof.is_some() {
                 solver.enable_proof_logging();
             }
-            solver.set_metrics(registry);
-            solver.set_flight(&flight);
             solver.set_budget(opts.budget());
-            let mut fan = FanoutObserver::new();
-            if opts.progress {
-                fan = fan.with(Arc::new(ProgressLogger::stderr("solve")));
-            }
-            if tracer.is_enabled() {
-                fan = fan.with(Arc::new(TraceObserver::new(tracer.clone(), span.id())));
-            }
-            solver.set_observer(Arc::new(fan) as Arc<dyn RunObserver>);
+            let telemetry = Telemetry {
+                tracer: tracer.clone(),
+                metrics: registry.clone(),
+                flight: flight.clone(),
+                observer: opts
+                    .progress
+                    .then(|| Arc::new(ProgressLogger::stderr("solve")) as _),
+            };
+            telemetry.attach(&mut solver, span.id());
             match &pre {
                 // A preprocessor refutation came from unit propagation
                 // alone, so the solver re-derives it instantly from the

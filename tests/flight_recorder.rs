@@ -9,27 +9,38 @@
 //!    run (or a run with the recorder disabled) must leave none.
 //! 2. **A disabled recorder is inert** — no samples, no postmortem,
 //!    identical to not passing one at all.
-//! 3. **Recording never perturbs the search**: conflict, decision and
-//!    propagation counts are bit-identical with the recorder on or off,
-//!    the same determinism contract the bench gate enforces.
+//! 3. **Telemetry never perturbs the search**: for every request
+//!    builder, verdicts and conflict, decision and propagation counts are
+//!    bit-identical with full telemetry (tracer, registry, recorder and
+//!    observer) on or off, the same determinism contract the bench gate
+//!    enforces.
 //!
 //! Plus the exporter round trip: a traced + recorded run's Chrome
 //! trace must re-parse as JSON, contain every span exactly once, and
 //! keep timestamps monotone per track.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 use std::time::Duration;
 
 use satroute::coloring::{random_graph, CspGraph};
-use satroute::core::{ColoringOutcome, ColoringReport, Strategy};
-use satroute::obs::{chrome_trace, json, BufferSink, FlightRecorder, Tracer};
-use satroute::solver::{CancellationToken, RunBudget, StopReason};
+use satroute::core::{
+    run_portfolio_opts, ColoringOutcome, ColoringReport, PortfolioOptions, RoutingPipeline,
+    Strategy,
+};
+use satroute::fpga::benchmarks;
+use satroute::obs::{
+    chrome_trace, json, BufferSink, FlightRecorder, MetricsRegistry, TraceTree, Tracer,
+};
+use satroute::solver::{
+    CancellationToken, MetricsRecorder, RunBudget, SolverConfig, SolverStats, StopReason, Telemetry,
+};
 
 /// A dense 25-vertex graph at an infeasibly low color count: reliably
 /// UNSAT and far beyond any of the tiny budgets used below, so every
 /// budgeted run genuinely exhausts rather than finishing early.
 fn hard_instance() -> (CspGraph, u32) {
-    (random_graph(25, 0.5, 11), 4)
+    (random_graph(22, 0.5, 3), 4)
 }
 
 fn budgeted_run(budget: RunBudget, cancel: Option<CancellationToken>) -> ColoringReport {
@@ -142,27 +153,161 @@ fn decided_runs_and_disabled_recorders_carry_no_postmortem() {
     assert!(disabled.samples().is_empty());
 }
 
+/// Verdict and work counters of one run: what telemetry must not move.
+#[derive(Debug, PartialEq, Eq)]
+struct Search {
+    verdict: String,
+    conflicts: u64,
+    decisions: u64,
+    propagations: u64,
+}
+
+impl Search {
+    fn of(verdict: impl std::fmt::Debug, stats: &SolverStats) -> Search {
+        Search {
+            verdict: format!("{verdict:?}"),
+            conflicts: stats.conflicts,
+            decisions: stats.decisions,
+            propagations: stats.propagations,
+        }
+    }
+}
+
+/// The Mycielski graph M5 at 4 colors: 23 vertices, triangle-free,
+/// chromatic number 5. Refuting it takes thousands of conflicts —
+/// restarts, reductions, flight samples — on every builder below, yet
+/// stays fast unoptimized.
+fn perturbation_instance() -> (CspGraph, u32) {
+    // Mycielskian step: copy u_i of each v_i joins v_i's neighbours, and
+    // a hub joins every copy. Three steps from K2 give M5.
+    let mut n = 2u32;
+    let mut edges = vec![(0u32, 1u32)];
+    for _ in 0..3 {
+        let copies: Vec<(u32, u32)> = edges
+            .iter()
+            .flat_map(|&(a, b)| [(a, n + b), (b, n + a)])
+            .collect();
+        edges.extend(copies);
+        edges.extend((0..n).map(|u| (n + u, 2 * n)));
+        n = 2 * n + 1;
+    }
+    (CspGraph::from_edges(n as usize, edges), 4)
+}
+
+/// One run per request builder, under `t`; portfolio and conquer run
+/// with sharing off (their default) so their counters are deterministic.
+fn builder_runs(t: &Telemetry) -> Vec<(&'static str, Search)> {
+    let (g, k) = perturbation_instance();
+    let strategy = Strategy::paper_baseline();
+    let mut runs = Vec::new();
+
+    let mut solve = strategy
+        .solve(&g, k)
+        .trace(t.tracer.clone())
+        .metrics(t.metrics.clone())
+        .flight(t.flight.clone());
+    if let Some(observer) = &t.observer {
+        solve = solve.observe(observer.clone());
+    }
+    let report = solve.run();
+    runs.push(("solve", Search::of(&report.outcome, &report.solver_stats)));
+
+    let mut builder = strategy
+        .incremental(&g, k + 2)
+        .trace(t.tracer.clone())
+        .metrics(t.metrics.clone())
+        .flight(t.flight.clone());
+    if let Some(observer) = &t.observer {
+        builder = builder.observe(observer.clone());
+    }
+    let mut session = builder.build();
+    let verdicts: Vec<_> = (k..=k + 2).rev().map(|w| session.solve_at(w)).collect();
+    runs.push(("incremental", Search::of(verdicts, session.solver_stats())));
+
+    let mut conquer = strategy
+        .cube_and_conquer(&g, k)
+        .cube_vars(2)
+        .threads(2)
+        .trace(t.tracer.clone())
+        .metrics(t.metrics.clone())
+        .flight(t.flight.clone());
+    if let Some(observer) = &t.observer {
+        conquer = conquer.observe(observer.clone());
+    }
+    let result = conquer.run();
+    for cube in &result.cubes {
+        let search = Search::of(&cube.report.outcome, &cube.report.solver_stats);
+        runs.push(("conquer cube", search));
+    }
+
+    let groups: Vec<u32> = (0..g.num_vertices() as u32).map(|v| v / 3).collect();
+    let mut explain = strategy
+        .explain(&g, &groups, k)
+        .trace(t.tracer.clone())
+        .metrics(t.metrics.clone())
+        .flight(t.flight.clone());
+    if let Some(observer) = &t.observer {
+        explain = explain.observe(observer.clone());
+    }
+    let report = explain.run();
+    runs.push(("explain", Search::of(&report.outcome, &report.solver_stats)));
+
+    // One worker runs member 0 to completion first, so its counters do
+    // not depend on when the winner cancels the queued member.
+    let opts = PortfolioOptions {
+        telemetry: t.clone(),
+        ..PortfolioOptions::new().with_max_threads(1)
+    };
+    let members = Strategy::diversified(strategy, 2);
+    let result = run_portfolio_opts(
+        &g,
+        k,
+        &members,
+        &SolverConfig::default(),
+        RunBudget::default(),
+        None,
+        &opts,
+    );
+    let first = &result.members[0].report;
+    runs.push(("portfolio", Search::of(&first.outcome, &first.solver_stats)));
+
+    let instance = benchmarks::suite_tiny().remove(1);
+    let mut pipeline = RoutingPipeline::new(strategy)
+        .with_tracer(t.tracer.clone())
+        .with_metrics(t.metrics.clone())
+        .with_flight(t.flight.clone());
+    if let Some(observer) = &t.observer {
+        pipeline = pipeline.with_observer(observer.clone());
+    }
+    let report = pipeline
+        .route(&instance.problem, instance.unroutable_width)
+        .expect("no budget")
+        .report;
+    runs.push((
+        "pipeline",
+        Search::of(&report.outcome, &report.solver_stats),
+    ));
+    runs
+}
+
 #[test]
 fn recording_does_not_perturb_the_search() {
-    let (g, k) = hard_instance();
-    let plain = Strategy::paper_best().solve(&g, k).run();
-    let recorded = Strategy::paper_best()
-        .solve(&g, k)
-        .flight(FlightRecorder::new())
-        .run();
-    assert_eq!(plain.outcome, recorded.outcome);
-    assert_eq!(
-        plain.solver_stats.conflicts, recorded.solver_stats.conflicts,
-        "recording changed the conflict count"
-    );
-    assert_eq!(
-        plain.solver_stats.decisions,
-        recorded.solver_stats.decisions
-    );
-    assert_eq!(
-        plain.solver_stats.propagations,
-        recorded.solver_stats.propagations
-    );
+    let full = Telemetry {
+        tracer: Tracer::to_sink(TraceTree::new()),
+        metrics: MetricsRegistry::new(),
+        flight: FlightRecorder::new(),
+        observer: Some(Arc::new(MetricsRecorder::new())),
+    };
+    let plain = builder_runs(&Telemetry::default());
+    let recorded = builder_runs(&full);
+    assert_eq!(plain.len(), recorded.len());
+    for ((name, off), (_, on)) in plain.iter().zip(&recorded) {
+        assert!(off.conflicts > 0, "{name}: the run must search");
+        assert_eq!(off, on, "{name}: telemetry changed the search");
+    }
+    // Every sink really was fed.
+    assert!(full.flight.recorded() > 0);
+    assert!(full.metrics.snapshot().counter("solver.conflicts") > Some(0));
 }
 
 #[test]

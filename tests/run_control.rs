@@ -6,7 +6,7 @@ use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use satroute::coloring::{dsatur_coloring, random_graph, CspGraph};
-use satroute::core::{run_portfolio_with, ColoringOutcome, Strategy};
+use satroute::core::{run_portfolio_opts, ColoringOutcome, PortfolioOptions, Strategy};
 use satroute::solver::SolverConfig;
 use satroute::{CancellationToken, RunBudget, RunObserver, SolverEvent, StopReason};
 
@@ -59,7 +59,15 @@ fn portfolio_under_wall_budget_terminates_with_deadline_members() {
     let budget = RunBudget::new().with_wall(Duration::from_secs(2));
 
     let start = Instant::now();
-    let result = run_portfolio_with(&g, k, &strategies, &SolverConfig::default(), budget, None);
+    let result = run_portfolio_opts(
+        &g,
+        k,
+        &strategies,
+        &SolverConfig::default(),
+        budget,
+        None,
+        &PortfolioOptions::default(),
+    );
     let elapsed = start.elapsed();
 
     assert!(
@@ -106,13 +114,14 @@ fn cancellation_mid_solve_stops_every_portfolio_member() {
     };
 
     let start = Instant::now();
-    let result = run_portfolio_with(
+    let result = run_portfolio_opts(
         &g,
         k,
         &strategies,
         &SolverConfig::default(),
         RunBudget::default(),
         Some(token),
+        &PortfolioOptions::default(),
     );
     let elapsed = start.elapsed();
     canceller.join().unwrap();

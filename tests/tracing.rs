@@ -7,8 +7,8 @@
 use std::fs;
 
 use satroute::core::{
-    encode_coloring, encode_coloring_traced, run_portfolio_opts, EncodingId, PortfolioOptions,
-    RoutingPipeline, Strategy, SymmetryHeuristic,
+    encode_coloring, run_portfolio_opts, EncodingId, PortfolioOptions, RoutingPipeline, Strategy,
+    SymmetryHeuristic,
 };
 use satroute::fpga::benchmarks;
 use satroute::obs::TraceEvent;
@@ -123,13 +123,10 @@ fn encode_spans_pin_cnf_stats_per_encoding() {
     for (id, vars, clauses) in pinned {
         let tree = TraceTree::new();
         let tracer = Tracer::to_sink(tree.clone());
-        let traced = encode_coloring_traced(
-            &triangle,
-            3,
-            &id.encoding(),
-            SymmetryHeuristic::None,
-            &tracer,
-        );
+        let traced = Strategy::new(id, SymmetryHeuristic::None)
+            .solve(&triangle, 3)
+            .trace(tracer)
+            .run();
         let plain = encode_coloring(&triangle, 3, &id.encoding(), SymmetryHeuristic::None);
         let stats = plain.formula.stats();
 
@@ -143,7 +140,7 @@ fn encode_spans_pin_cnf_stats_per_encoding() {
         assert_eq!(counter("clauses"), stats.num_clauses as u64, "{id}");
         assert_eq!(counter("literals"), stats.num_literals as u64, "{id}");
         assert_eq!(
-            traced.formula.num_clauses(),
+            traced.formula_stats.num_clauses,
             plain.formula.num_clauses(),
             "{id}: traced and plain encoders agree"
         );
