@@ -4,12 +4,16 @@ use std::fmt;
 
 use crate::{Assignment, Lit};
 
-/// A clause — a disjunction of [`Lit`]s.
+/// A clause — a disjunction of [`Lit`]s — owned on its own.
 ///
-/// Clauses are thin wrappers around `Vec<Lit>` that add clause-level
-/// operations (normalization, tautology detection, evaluation). The order of
-/// literals is preserved as given, which matters for reproducing the paper's
-/// encodings literally (Table 1 lists clauses with a specific literal order).
+/// A thin wrapper around `Vec<Lit>` that adds clause-level operations
+/// (normalization, tautology detection, evaluation) for code that works on
+/// one clause at a time, such as the level-0 preprocessor. A
+/// [`CnfFormula`](crate::CnfFormula) does not store `Clause`s: it keeps its
+/// clauses in one flat literal buffer and hands them out as `&[Lit]`. The
+/// order of literals is preserved as given, which matters for reproducing
+/// the paper's encodings literally (Table 1 lists clauses with a specific
+/// literal order).
 ///
 /// # Examples
 ///
@@ -79,19 +83,7 @@ impl Clause {
     /// Returns `Some(true)` if some literal is satisfied, `Some(false)` if
     /// all literals are falsified, and `None` if the clause is undetermined.
     pub fn evaluate(&self, assignment: &Assignment) -> Option<bool> {
-        let mut undetermined = false;
-        for &lit in &self.lits {
-            match assignment.lit_value(lit) {
-                Some(true) => return Some(true),
-                Some(false) => {}
-                None => undetermined = true,
-            }
-        }
-        if undetermined {
-            None
-        } else {
-            Some(false)
-        }
+        evaluate_lits(&self.lits, assignment)
     }
 
     /// Iterates over the literals.
@@ -103,6 +95,37 @@ impl Clause {
     pub fn into_lits(self) -> Vec<Lit> {
         self.lits
     }
+}
+
+/// Evaluates the disjunction of `lits` (see [`Clause::evaluate`]).
+pub(crate) fn evaluate_lits(lits: &[Lit], assignment: &Assignment) -> Option<bool> {
+    let mut undetermined = false;
+    for &lit in lits {
+        match assignment.lit_value(lit) {
+            Some(true) => return Some(true),
+            Some(false) => {}
+            None => undetermined = true,
+        }
+    }
+    if undetermined {
+        None
+    } else {
+        Some(false)
+    }
+}
+
+/// Writes the disjunction of `lits`, `⊥` when empty.
+pub(crate) fn fmt_lits(lits: &[Lit], f: &mut fmt::Formatter<'_>) -> fmt::Result {
+    if lits.is_empty() {
+        return write!(f, "⊥");
+    }
+    for (i, lit) in lits.iter().enumerate() {
+        if i > 0 {
+            write!(f, " ∨ ")?;
+        }
+        write!(f, "{lit}")?;
+    }
+    Ok(())
 }
 
 impl From<Vec<Lit>> for Clause {
@@ -149,16 +172,7 @@ impl fmt::Debug for Clause {
 
 impl fmt::Display for Clause {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.lits.is_empty() {
-            return write!(f, "⊥");
-        }
-        for (i, lit) in self.lits.iter().enumerate() {
-            if i > 0 {
-                write!(f, " ∨ ")?;
-            }
-            write!(f, "{lit}")?;
-        }
-        Ok(())
+        fmt_lits(&self.lits, f)
     }
 }
 

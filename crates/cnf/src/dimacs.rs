@@ -208,8 +208,8 @@ mod tests {
         let f = parse_cnf_str(text).unwrap();
         assert_eq!(f.num_vars(), 3);
         assert_eq!(f.num_clauses(), 2);
-        assert_eq!(f.clauses()[0].len(), 3);
-        assert_eq!(f.clauses()[1].len(), 2);
+        assert_eq!(f.clause(0).len(), 3);
+        assert_eq!(f.clause(1).len(), 2);
     }
 
     #[test]
@@ -247,6 +247,6 @@ mod tests {
         let text = to_cnf_string(&f);
         let parsed = parse_cnf_str(&text).unwrap();
         assert_eq!(parsed.num_clauses(), 1);
-        assert!(parsed.clauses()[0].is_empty());
+        assert!(parsed.clause(0).is_empty());
     }
 }

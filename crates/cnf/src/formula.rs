@@ -2,7 +2,8 @@
 
 use std::fmt;
 
-use crate::{Assignment, Clause, Lit, Var};
+use crate::clause::{evaluate_lits, fmt_lits};
+use crate::{Assignment, Lit, Var};
 
 /// A formula in conjunctive normal form.
 ///
@@ -10,6 +11,14 @@ use crate::{Assignment, Clause, Lit, Var};
 /// allocated. Fresh variables are handed out by [`CnfFormula::new_var`],
 /// which is how the encoding framework allocates the indexing Boolean
 /// variables of each CSP variable.
+///
+/// Clauses are stored flat: one literal buffer holding every clause back
+/// to back, plus the end offset of each clause in it. Iteration yields
+/// each clause as a `&[Lit]` in insertion order, with its literals in the
+/// order they were added; [`CnfFormula::clause`] indexes one. Appending a
+/// clause copies its literals into the buffer, so building a formula
+/// allocates no per-clause storage, and [`CnfFormula::stats`] reads
+/// counters kept on append instead of scanning the clauses.
 ///
 /// # Examples
 ///
@@ -22,11 +31,19 @@ use crate::{Assignment, Clause, Lit, Var};
 /// f.add_clause([Lit::positive(a), Lit::positive(b)]);
 /// assert_eq!(f.num_vars(), 2);
 /// assert_eq!(f.num_clauses(), 1);
+/// assert_eq!(f.clause(0), [Lit::positive(a), Lit::positive(b)]);
 /// ```
 #[derive(Clone, PartialEq, Eq, Default)]
 pub struct CnfFormula {
     num_vars: u32,
-    clauses: Vec<Clause>,
+    /// Every clause's literals, back to back.
+    lits: Vec<Lit>,
+    /// `ends[i]` is the end offset of clause `i` in `lits`; it starts where
+    /// clause `i - 1` ends (or at 0).
+    ends: Vec<usize>,
+    num_unit: usize,
+    num_binary: usize,
+    max_clause_len: usize,
 }
 
 /// Summary statistics for a [`CnfFormula`], used by the formula-size
@@ -57,8 +74,15 @@ impl CnfFormula {
     pub fn with_vars(num_vars: u32) -> Self {
         CnfFormula {
             num_vars,
-            clauses: Vec::new(),
+            ..CnfFormula::default()
         }
+    }
+
+    /// Reserves room for `clauses` more clauses holding `literals` more
+    /// literal occurrences in total.
+    pub fn reserve(&mut self, clauses: usize, literals: usize) {
+        self.ends.reserve(clauses);
+        self.lits.reserve(literals);
     }
 
     /// Allocates a fresh variable.
@@ -85,28 +109,37 @@ impl CnfFormula {
 
     /// Number of clauses.
     pub fn num_clauses(&self) -> usize {
-        self.clauses.len()
+        self.ends.len()
     }
 
-    /// The clauses of the formula.
-    pub fn clauses(&self) -> &[Clause] {
-        &self.clauses
+    /// The literals of clause `i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= self.num_clauses()`.
+    pub fn clause(&self, i: usize) -> &[Lit] {
+        let start = if i == 0 { 0 } else { self.ends[i - 1] };
+        &self.lits[start..self.ends[i]]
     }
 
-    /// Adds a clause built from the given literals.
+    /// Adds a clause built from the given literals, in the given order.
     ///
     /// Variables referenced by the clause are registered automatically, so a
     /// formula parsed from literals never under-reports `num_vars`.
     pub fn add_clause<I: IntoIterator<Item = Lit>>(&mut self, lits: I) {
-        self.push_clause(Clause::from_lits(lits));
-    }
-
-    /// Adds an already-built clause.
-    pub fn push_clause(&mut self, clause: Clause) {
-        for lit in &clause {
-            self.num_vars = self.num_vars.max(lit.var().index() + 1);
+        let start = self.lits.len();
+        self.lits.extend(lits);
+        let added = &self.lits[start..];
+        if let Some(max_var) = added.iter().map(|l| l.var().index() + 1).max() {
+            self.num_vars = self.num_vars.max(max_var);
         }
-        self.clauses.push(clause);
+        match added.len() {
+            1 => self.num_unit += 1,
+            2 => self.num_binary += 1,
+            _ => {}
+        }
+        self.max_clause_len = self.max_clause_len.max(added.len());
+        self.ends.push(self.lits.len());
     }
 
     /// Evaluates the formula under an assignment.
@@ -115,8 +148,8 @@ impl CnfFormula {
     /// some clause is falsified, `None` if undetermined.
     pub fn evaluate(&self, assignment: &Assignment) -> Option<bool> {
         let mut undetermined = false;
-        for clause in &self.clauses {
-            match clause.evaluate(assignment) {
+        for clause in self {
+            match evaluate_lits(clause, assignment) {
                 Some(true) => {}
                 Some(false) => return Some(false),
                 None => undetermined = true,
@@ -133,60 +166,65 @@ impl CnfFormula {
     /// satisfied; unassigned variables are allowed as long as every clause
     /// already has a satisfied literal).
     pub fn is_satisfied_by(&self, assignment: &Assignment) -> bool {
-        self.clauses
-            .iter()
-            .all(|c| c.evaluate(assignment) == Some(true))
+        self.iter()
+            .all(|c| evaluate_lits(c, assignment) == Some(true))
     }
 
-    /// Computes summary statistics.
+    /// Summary statistics, from counters kept as clauses are added (O(1)).
     pub fn stats(&self) -> FormulaStats {
-        let mut s = FormulaStats {
+        FormulaStats {
             num_vars: self.num_vars,
-            num_clauses: self.clauses.len(),
-            ..FormulaStats::default()
-        };
-        for c in &self.clauses {
-            s.num_literals += c.len();
-            match c.len() {
-                1 => s.num_unit += 1,
-                2 => s.num_binary += 1,
-                _ => {}
-            }
-            s.max_clause_len = s.max_clause_len.max(c.len());
+            num_clauses: self.ends.len(),
+            num_literals: self.lits.len(),
+            num_unit: self.num_unit,
+            num_binary: self.num_binary,
+            max_clause_len: self.max_clause_len,
         }
-        s
     }
 
-    /// Iterates over the clauses.
-    pub fn iter(&self) -> std::slice::Iter<'_, Clause> {
-        self.clauses.iter()
-    }
-}
-
-impl FromIterator<Clause> for CnfFormula {
-    fn from_iter<I: IntoIterator<Item = Clause>>(iter: I) -> Self {
-        let mut f = CnfFormula::new();
-        for c in iter {
-            f.push_clause(c);
-        }
-        f
-    }
-}
-
-impl Extend<Clause> for CnfFormula {
-    fn extend<I: IntoIterator<Item = Clause>>(&mut self, iter: I) {
-        for c in iter {
-            self.push_clause(c);
+    /// Iterates over the clauses, in insertion order.
+    pub fn iter(&self) -> Clauses<'_> {
+        Clauses {
+            lits: &self.lits,
+            ends: self.ends.iter(),
+            start: 0,
         }
     }
 }
+
+/// Iterator over the clauses of a [`CnfFormula`], each as a `&[Lit]`.
+/// Created by [`CnfFormula::iter`].
+#[derive(Clone, Debug)]
+pub struct Clauses<'a> {
+    lits: &'a [Lit],
+    ends: std::slice::Iter<'a, usize>,
+    start: usize,
+}
+
+impl<'a> Iterator for Clauses<'a> {
+    type Item = &'a [Lit];
+
+    #[inline]
+    fn next(&mut self) -> Option<&'a [Lit]> {
+        let end = *self.ends.next()?;
+        let clause = &self.lits[self.start..end];
+        self.start = end;
+        Some(clause)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.ends.size_hint()
+    }
+}
+
+impl ExactSizeIterator for Clauses<'_> {}
 
 impl<'a> IntoIterator for &'a CnfFormula {
-    type Item = &'a Clause;
-    type IntoIter = std::slice::Iter<'a, Clause>;
+    type Item = &'a [Lit];
+    type IntoIter = Clauses<'a>;
 
     fn into_iter(self) -> Self::IntoIter {
-        self.clauses.iter()
+        self.iter()
     }
 }
 
@@ -196,18 +234,20 @@ impl fmt::Debug for CnfFormula {
             f,
             "CnfFormula({} vars, {} clauses)",
             self.num_vars,
-            self.clauses.len()
+            self.num_clauses()
         )
     }
 }
 
 impl fmt::Display for CnfFormula {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for (i, clause) in self.clauses.iter().enumerate() {
+        for (i, clause) in self.iter().enumerate() {
             if i > 0 {
                 writeln!(f)?;
             }
-            write!(f, "({clause})")?;
+            write!(f, "(")?;
+            fmt_lits(clause, f)?;
+            write!(f, ")")?;
         }
         Ok(())
     }
@@ -275,14 +315,19 @@ mod tests {
     }
 
     #[test]
-    fn collect_from_clauses() {
-        let f: CnfFormula = vec![
-            Clause::from_lits([lit(1), lit(2)]),
-            Clause::from_lits([lit(-3)]),
-        ]
-        .into_iter()
-        .collect();
-        assert_eq!(f.num_clauses(), 2);
+    fn clauses_are_stored_flat_in_order() {
+        let mut f = CnfFormula::new();
+        f.add_clause([lit(1), lit(2)]);
+        f.add_clause(std::iter::empty());
+        f.add_clause([lit(-3)]);
+        assert_eq!(f.num_clauses(), 3);
         assert_eq!(f.num_vars(), 3);
+        assert_eq!(f.clause(0), [lit(1), lit(2)]);
+        assert!(f.clause(1).is_empty());
+        assert_eq!(f.clause(2), [lit(-3)]);
+        let all: Vec<&[Lit]> = f.iter().collect();
+        assert_eq!(all, [&[lit(1), lit(2)][..], &[], &[lit(-3)]]);
+        assert_eq!(f.iter().len(), 3);
+        assert_eq!(f.to_string(), "(x0 ∨ x1)\n(⊥)\n(¬x2)");
     }
 }

@@ -7,7 +7,7 @@
 //! * [`Var`] / [`Lit`] — compact variable and literal handles,
 //! * [`Clause`] — a disjunction of literals,
 //! * [`CnfFormula`] — a formula in conjunctive normal form with its own
-//!   variable allocator,
+//!   variable allocator, storing its clauses in one flat literal buffer,
 //! * [`Assignment`] — a (possibly partial) truth assignment,
 //! * [`dimacs`] — reading and writing the DIMACS CNF interchange format used
 //!   by the tool flow described in the reproduced paper (Velev & Gao,
@@ -47,5 +47,5 @@ pub mod dimacs;
 
 pub use assignment::Assignment;
 pub use clause::Clause;
-pub use formula::{CnfFormula, FormulaStats};
+pub use formula::{Clauses, CnfFormula, FormulaStats};
 pub use lit::{Lit, Var};

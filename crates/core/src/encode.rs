@@ -453,15 +453,45 @@ pub(crate) fn emit(
         };
         let group_span =
             matches!(selectors, Selectors::PerGroup(_)).then(|| tracer.span("group_selectors"));
+        let negations: Vec<Vec<Lit>> = scheme
+            .patterns
+            .iter()
+            .map(|p| p.negation_clause())
+            .collect();
+        // Symmetry restrictions come from a clique and vertex order of the
+        // full graph and turn unsound once groups are deleted.
+        let restricted = match selectors {
+            Selectors::PerGroup(_) => Vec::new(),
+            _ => symmetry.restricted_sequence(graph, k),
+        };
+
+        // Reserve the whole formula up front so the literal buffer never
+        // reallocates while it is filled.
+        let lens = |clauses: &[Vec<Lit>]| clauses.iter().map(Vec::len).sum::<usize>();
+        let (num_edges, neg_lits) = (graph.num_edges(), lens(&negations));
+        // Upper bound: a grouped clause carries at most one guard per
+        // endpoint.
+        let guards = usize::from(group_span.is_some());
+        let mut clauses = n * scheme.structural.len() + num_edges * negations.len();
+        let mut literals = n * (lens(&scheme.structural) + guards * scheme.structural.len())
+            + num_edges * (2 * neg_lits + 2 * guards * negations.len());
+        for p in 0..restricted.len() {
+            let restricted_negations = &negations[p + 1..k as usize];
+            clauses += restricted_negations.len();
+            literals += lens(restricted_negations);
+        }
+        if let Selectors::PerTrack = selectors {
+            clauses += n * negations.len();
+            literals += n * (neg_lits + negations.len());
+        }
+        formula.reserve(clauses, literals);
 
         // Structural clauses, one copy per vertex.
         let structural = tracer.span("structural_clauses");
         for (v, &offset) in offsets.iter().enumerate() {
+            let g = guard(v as u32);
             for clause in &scheme.structural {
-                let mut lits = Vec::with_capacity(clause.len() + 1);
-                lits.extend(guard(v as u32));
-                lits.extend(shift(clause, offset));
-                formula.add_clause(lits);
+                formula.add_clause(g.into_iter().chain(shift(clause, offset)));
             }
         }
         structural.counter("clauses", formula.num_clauses() as u64);
@@ -472,30 +502,23 @@ pub(crate) fn emit(
         // active).
         let conflicts = tracer.span("conflict_clauses");
         let before_conflicts = formula.num_clauses();
-        let negations: Vec<Vec<Lit>> = scheme
-            .patterns
-            .iter()
-            .map(|p| p.negation_clause())
-            .collect();
         for (u, v) in graph.edges() {
-            let (gu, gv) = (guard(u), guard(v));
+            let gu = guard(u);
+            let gv = guard(v).filter(|&g| Some(g) != gu);
+            let (ou, ov) = (offsets[u as usize], offsets[v as usize]);
             for neg in &negations {
-                let mut clause = Vec::with_capacity(2 * neg.len() + 2);
-                clause.extend(gu);
-                if gv != gu {
-                    clause.extend(gv);
-                }
-                clause.extend(shift(neg, offsets[u as usize]));
-                clause.extend(shift(neg, offsets[v as usize]));
-                formula.add_clause(clause);
+                formula.add_clause(
+                    gu.into_iter()
+                        .chain(gv)
+                        .chain(shift(neg, ou))
+                        .chain(shift(neg, ov)),
+                );
             }
         }
         conflicts.counter("clauses", (formula.num_clauses() - before_conflicts) as u64);
         drop(conflicts);
 
         if let Some(group_span) = group_span {
-            // Symmetry restrictions come from a clique and vertex order of
-            // the full graph and turn unsound once groups are deleted.
             group_span.counter("selectors", u64::from(num_groups));
         } else {
             // Symmetry restrictions: position p (0-based) may only use
@@ -505,7 +528,7 @@ pub(crate) fn emit(
                 [("heuristic", FieldValue::from(symmetry.to_string()))],
             );
             let before_sym = formula.num_clauses();
-            for (p, &v) in symmetry.restricted_sequence(graph, k).iter().enumerate() {
+            for (p, &v) in restricted.iter().enumerate() {
                 for d in (p as u32 + 1)..k {
                     formula.add_clause(shift(&negations[d as usize], offsets[v as usize]));
                 }
@@ -520,14 +543,14 @@ pub(crate) fn emit(
             selector_lits = (0..k).map(|_| Lit::positive(formula.new_var())).collect();
             for &offset in &offsets {
                 for (d, neg) in negations.iter().enumerate() {
-                    let mut clause = Vec::with_capacity(neg.len() + 1);
-                    clause.push(!selector_lits[d]);
-                    clause.extend(shift(neg, offset));
-                    formula.add_clause(clause);
+                    formula
+                        .add_clause(std::iter::once(!selector_lits[d]).chain(shift(neg, offset)));
                 }
             }
             track_span.counter("clauses", (formula.num_clauses() - before) as u64);
         }
+        debug_assert_eq!(formula.num_clauses(), clauses);
+        debug_assert!(formula.stats().num_literals <= literals);
         DecodeMap {
             scheme,
             offsets,
@@ -583,7 +606,7 @@ mod tests {
             SymmetryHeuristic::None,
         );
         assert_eq!(enc.formula.num_clauses(), 1);
-        assert!(enc.formula.clauses()[0].is_empty());
+        assert!(enc.formula.clause(0).is_empty());
     }
 
     #[test]
@@ -630,12 +653,7 @@ mod tests {
         let enc = encode_coloring(&g, 3, &EncodingId::Log.encoding(), SymmetryHeuristic::None);
         // 2 illegal-value clauses + 3 conflict clauses.
         assert_eq!(enc.formula.num_clauses(), 5);
-        let conflicts: Vec<_> = enc
-            .formula
-            .clauses()
-            .iter()
-            .filter(|c| c.len() == 4)
-            .collect();
+        let conflicts: Vec<_> = enc.formula.iter().filter(|c| c.len() == 4).collect();
         assert_eq!(conflicts.len(), 3);
     }
 
@@ -728,7 +746,7 @@ mod tests {
         assert_eq!(enc.formula.num_clauses(), 3 + 9);
         // ALO clauses gain one guard; intra-group conflicts one, the
         // cross-group ones two.
-        let lens: Vec<usize> = enc.formula.clauses().iter().map(|c| c.len()).collect();
+        let lens: Vec<usize> = enc.formula.iter().map(<[Lit]>::len).collect();
         assert_eq!(lens.iter().filter(|&&l| l == 4).count(), 3 + 6);
         assert_eq!(lens.iter().filter(|&&l| l == 3).count(), 3);
         assert_eq!(enc.group_of(enc.selectors[1]), Some(1));
@@ -742,7 +760,43 @@ mod tests {
         // Groups 0 and 2 are populated, group 1 is not.
         assert_eq!(enc.num_groups(), 3);
         assert_eq!(enc.formula.num_clauses(), 2);
-        assert!(enc.formula.clauses().iter().all(|c| c.len() == 1));
+        assert!(enc.formula.iter().all(|c| c.len() == 1));
+    }
+
+    #[test]
+    fn plain_encodings_emit_clauses_in_normal_order() {
+        // The solver attaches a clause with strictly increasing literal
+        // codes and no repeated variable straight from the formula; an
+        // encoder that stopped emitting that order would silently move
+        // every load onto the normalizing path.
+        let graph = CspGraph::from_edges(
+            6,
+            [
+                (0, 1),
+                (0, 2),
+                (1, 2),
+                (2, 3),
+                (0, 3),
+                (3, 4),
+                (4, 5),
+                (1, 5),
+            ],
+        );
+        for id in EncodingId::ALL {
+            for symmetry in SymmetryHeuristic::ALL {
+                for k in 1..=9 {
+                    let enc = encode_coloring(&graph, k, &id.encoding(), symmetry);
+                    for clause in &enc.formula {
+                        assert!(
+                            clause
+                                .windows(2)
+                                .all(|w| w[0].code() < w[1].code() && w[0].var() != w[1].var()),
+                            "{id}/{symmetry} at k = {k} emits {clause:?}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -498,6 +498,8 @@ impl<'a> SolveRequest<'a> {
             "solve",
             [("strategy", FieldValue::from(self.strategy.to_string()))],
         );
+        // Solver construction and clause loading, apart from the search.
+        let load_span = tracer.span("load");
         let mut solver = CdclSolver::with_config(self.config);
         if with_proof {
             solver.enable_proof_logging();
@@ -510,14 +512,19 @@ impl<'a> SolveRequest<'a> {
         if let Some((exchange, sharing)) = self.exchange {
             solver.set_exchange(exchange, sharing);
         }
-        match &pre {
+        let loaded = match &pre {
             // A preprocessor UNSAT came from unit propagation alone, so
             // the solver re-derives it instantly from the original
             // clauses — no special verdict path needed (the residual
             // formula would be empty, i.e. trivially SAT).
-            Some((simp, _)) if !simp.unsat => solver.add_formula(&simp.formula),
-            _ => solver.add_formula(&encoded.formula),
-        }
+            Some((simp, _)) if !simp.unsat => &simp.formula,
+            _ => &encoded.formula,
+        };
+        solver.add_formula(loaded);
+        let loaded_stats = loaded.stats();
+        load_span.counter("clauses", loaded_stats.num_clauses as u64);
+        load_span.counter("literals", loaded_stats.num_literals as u64);
+        drop(load_span);
         let outcome = solver.solve_with_assumptions(&self.assumptions);
         let sat_solving = solve_span.close();
         let solver_stats = *solver.stats();

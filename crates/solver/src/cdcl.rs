@@ -361,6 +361,9 @@ pub struct CdclSolver {
     /// Reusable buffer holding the clause produced by `analyze` (avoids
     /// one heap allocation per conflict).
     learnt_buf: Vec<Lit>,
+    /// Reusable buffer in which `add_clause_normalized` sorts and
+    /// normalizes a clause (avoids heap allocations per added clause).
+    add_buf: Vec<Lit>,
     /// Per-decision-level stamps for the allocation-free LBD computation.
     lbd_stamp: Vec<u32>,
     lbd_gen: u32,
@@ -464,6 +467,7 @@ impl CdclSolver {
             analyze_stack: Vec::new(),
             analyze_clear: Vec::new(),
             learnt_buf: Vec::new(),
+            add_buf: Vec::new(),
             lbd_stamp: Vec::new(),
             lbd_gen: 0,
             ok: true,
@@ -734,7 +738,7 @@ impl CdclSolver {
     pub fn add_formula(&mut self, formula: &CnfFormula) {
         self.ensure_vars(formula.num_vars());
         for clause in formula {
-            self.add_clause(clause.lits());
+            self.add_clause(clause);
         }
     }
 
@@ -743,6 +747,12 @@ impl CdclSolver {
     /// Duplicate literals are removed and tautological clauses are dropped.
     /// An empty (or immediately falsified) clause marks the solver
     /// unsatisfiable.
+    ///
+    /// A clause already in normal form — two or more literals over
+    /// strictly increasing, allocated, unassigned and not eliminated
+    /// variables — is attached straight from `lits`; any other clause is
+    /// normalized first, in a reusable scratch buffer. Both paths store
+    /// the same literals in the same order.
     ///
     /// # Panics
     ///
@@ -757,6 +767,43 @@ impl CdclSolver {
         if !self.ok {
             return;
         }
+        if self.is_normal(lits) {
+            self.attach_clause(lits, false, 0);
+        } else {
+            self.add_clause_normalized(lits);
+        }
+    }
+
+    /// `true` when normalizing `lits` would return it unchanged as a
+    /// clause of two or more literals: variables strictly increasing
+    /// (hence literal codes strictly increasing, with no duplicate and no
+    /// complementary pair), every variable allocated, unassigned and not
+    /// eliminated. Every clause the coloring encoder emits without
+    /// selectors has this form.
+    fn is_normal(&self, lits: &[Lit]) -> bool {
+        if lits.len() < 2 {
+            return false;
+        }
+        let mut prev: Option<Var> = None;
+        for lit in lits {
+            let var = lit.var();
+            let v = usize::from(var);
+            if prev.is_some_and(|p| p >= var)
+                || v >= self.assigns.len()
+                || self.assigns[v] != UNDEF
+                || self.eliminated[v]
+            {
+                return false;
+            }
+            prev = Some(var);
+        }
+        true
+    }
+
+    /// The general path of [`CdclSolver::add_clause`]: allocates missing
+    /// variables, sorts and normalizes `lits` against the level-0
+    /// assignment, then attaches, enqueues or refutes.
+    pub(crate) fn add_clause_normalized(&mut self, lits: &[Lit]) {
         let max_var = lits.iter().map(|l| l.var().index() + 1).max().unwrap_or(0);
         self.ensure_vars(max_var);
         assert!(
@@ -767,45 +814,57 @@ impl CdclSolver {
              elimination; freeze variables that later clauses will mention"
         );
 
-        // Normalize: sort/dedup, drop falsified-at-level-0 literals, detect
-        // tautologies and satisfied clauses.
-        let mut normalized: Vec<Lit> = Vec::with_capacity(lits.len());
-        let mut sorted = lits.to_vec();
-        sorted.sort_unstable();
-        sorted.dedup();
-        let mut i = 0;
-        while i < sorted.len() {
-            let lit = sorted[i];
-            if i + 1 < sorted.len() && sorted[i + 1] == !lit {
-                return; // tautology
-            }
-            match self.lit_value(lit) {
-                TRUE => return, // already satisfied at level 0
-                FALSE => {}     // drop falsified literal
-                _ => normalized.push(lit),
-            }
-            i += 1;
-        }
-
-        match normalized.len() {
-            0 => {
-                self.ok = false;
-            }
-            1 => {
-                self.enqueue(normalized[0], NO_REASON);
-                if self.propagate().is_some() {
+        let mut normalized = std::mem::take(&mut self.add_buf);
+        normalized.clear();
+        normalized.extend_from_slice(lits);
+        if self.normalize_at_root(&mut normalized) {
+            match normalized.len() {
+                0 => {
                     self.ok = false;
                 }
-            }
-            _ => {
-                self.attach_clause(&normalized, false, 0);
+                1 => {
+                    self.enqueue(normalized[0], NO_REASON);
+                    if self.propagate().is_some() {
+                        self.ok = false;
+                    }
+                }
+                _ => {
+                    self.attach_clause(&normalized, false, 0);
+                }
             }
         }
+        self.add_buf = normalized;
         if !self.ok {
             if let Some(proof) = &mut self.proof {
                 proof.push_add(Vec::new());
             }
         }
+    }
+
+    /// Normalizes `lits` in place against the level-0 assignment: sorts
+    /// and dedups, then drops falsified literals. Returns `false` (leaving
+    /// `lits` unspecified) when the clause is a tautology or already
+    /// satisfied, so it carries no information.
+    fn normalize_at_root(&self, lits: &mut Vec<Lit>) -> bool {
+        lits.sort_unstable();
+        lits.dedup();
+        let mut kept = 0;
+        for i in 0..lits.len() {
+            let lit = lits[i];
+            if i + 1 < lits.len() && lits[i + 1] == !lit {
+                return false; // tautology
+            }
+            match self.lit_value(lit) {
+                TRUE => return false, // already satisfied at level 0
+                FALSE => {}           // drop falsified literal
+                _ => {
+                    lits[kept] = lit;
+                    kept += 1;
+                }
+            }
+        }
+        lits.truncate(kept);
+        true
     }
 
     /// Solves the loaded formula.
@@ -1200,26 +1259,8 @@ impl CdclSolver {
 
             // Normalize against the level-0 assignment: drop falsified
             // literals, skip satisfied or tautological deliveries.
-            let mut sorted = lits.to_vec();
-            sorted.sort_unstable();
-            sorted.dedup();
-            let mut normalized: Vec<Lit> = Vec::with_capacity(sorted.len());
-            let mut skip = false;
-            for (i, &lit) in sorted.iter().enumerate() {
-                if i + 1 < sorted.len() && sorted[i + 1] == !lit {
-                    skip = true; // tautology
-                    break;
-                }
-                match self.lit_value(lit) {
-                    TRUE => {
-                        skip = true; // already satisfied at level 0
-                        break;
-                    }
-                    FALSE => {}
-                    _ => normalized.push(lit),
-                }
-            }
-            if skip {
+            let mut normalized = lits.to_vec();
+            if !self.normalize_at_root(&mut normalized) {
                 continue;
             }
             accepted += 1;
@@ -2758,5 +2799,100 @@ mod tests {
         let m = out.model().unwrap();
         assert!(m.is_total());
         assert_eq!(m.num_vars(), 5);
+    }
+
+    /// Everything loading leaves behind for the search: stored clauses in
+    /// arena order, each literal's watchers in push order, the trail.
+    #[derive(Debug, PartialEq)]
+    struct Loaded {
+        clauses: Vec<Vec<Lit>>,
+        watches: Vec<Vec<(ClauseRef, Lit)>>,
+        trail: Vec<Lit>,
+    }
+
+    fn loaded_state(s: &CdclSolver) -> Loaded {
+        Loaded {
+            clauses: s.arena.refs().map(|c| s.arena.lits(c).collect()).collect(),
+            watches: s
+                .watches
+                .iter()
+                .map(|ws| ws.iter().map(|w| (w.cref, w.blocker)).collect())
+                .collect(),
+            trail: s.trail.clone(),
+        }
+    }
+
+    /// A random clause over variables `0..num_vars` in one of the shapes
+    /// loading must handle: normal (sorted), shuffled, with a duplicate,
+    /// tautological, unit, or (rarely) empty.
+    fn random_clause(rng: &mut rand::rngs::StdRng, num_vars: u32) -> Vec<Lit> {
+        use rand::seq::SliceRandom;
+        use rand::Rng;
+        let mut vars: Vec<u32> = (0..num_vars).collect();
+        vars.shuffle(rng);
+        let len = rng.gen_range(1..=num_vars.min(5) as usize);
+        let mut lits: Vec<Lit> = vars[..len]
+            .iter()
+            .map(|&v| Lit::new(Var::new(v), rng.gen_bool(0.5)))
+            .collect();
+        match rng.gen_range(0..12) {
+            0..=5 => lits.sort_unstable(),
+            6 => lits.push(lits[0]),
+            7 => lits.push(!lits[0]),
+            8 => lits.truncate(1),
+            9 if rng.gen_bool(0.1) => lits.clear(),
+            _ => {}
+        }
+        lits
+    }
+
+    #[test]
+    fn normal_clause_fast_path_loads_like_the_normalizing_path() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x10ad);
+        let (mut fast_clauses, mut slow_clauses) = (0, 0);
+        for round in 0..80 {
+            let num_vars = rng.gen_range(2..=10u32);
+            let mut f = CnfFormula::new();
+            for _ in 0..rng.gen_range(1..=24) {
+                f.add_clause(random_clause(&mut rng, num_vars));
+            }
+            // Whole-formula loads allocate every variable up front;
+            // clause-by-clause loads meet forward variable references.
+            let whole = round % 2 == 0;
+            let mut subject = CdclSolver::new();
+            let mut reference = CdclSolver::new();
+            subject.enable_proof_logging();
+            reference.enable_proof_logging();
+            if whole {
+                subject.add_formula(&f);
+                reference.ensure_vars(f.num_vars());
+            } else {
+                for clause in &f {
+                    if subject.ok && subject.is_normal(clause) {
+                        fast_clauses += 1;
+                    } else {
+                        slow_clauses += 1;
+                    }
+                    subject.add_clause(clause);
+                }
+            }
+            for clause in &f {
+                if reference.ok {
+                    reference.add_clause_normalized(clause);
+                }
+            }
+            assert_eq!(subject.ok, reference.ok, "round {round}");
+            assert_eq!(
+                loaded_state(&subject),
+                loaded_state(&reference),
+                "round {round}: {f}"
+            );
+            assert_eq!(subject.solve(), reference.solve(), "round {round}");
+            assert_eq!(subject.stats(), reference.stats(), "round {round}");
+            let proof = |s: &mut CdclSolver| s.take_proof().unwrap().to_drat_string();
+            assert_eq!(proof(&mut subject), proof(&mut reference), "round {round}");
+        }
+        assert!(fast_clauses > 0 && slow_clauses > 0);
     }
 }

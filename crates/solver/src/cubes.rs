@@ -258,7 +258,7 @@ impl<'f> Propagator<'f> {
         let num_vars = formula.num_vars() as usize;
         let mut occurs = vec![Vec::new(); num_vars * 2];
         for (idx, clause) in formula.iter().enumerate() {
-            for &lit in clause.lits() {
+            for &lit in clause {
                 occurs[lit.code() as usize].push(idx as u32);
             }
         }
@@ -293,7 +293,7 @@ impl<'f> Propagator<'f> {
     /// `false` on a root conflict (including an empty clause).
     fn assert_units(&mut self) -> bool {
         for clause in self.formula.iter() {
-            match clause.lits() {
+            match clause {
                 [] => return false,
                 [unit] => {
                     if let Propagation::Conflict = self.propagate(*unit) {
@@ -327,11 +327,11 @@ impl<'f> Propagator<'f> {
             let false_lit = Lit::new(var, !value);
             for i in 0..self.occurs[false_lit.code() as usize].len() {
                 let clause_idx = self.occurs[false_lit.code() as usize][i] as usize;
-                let clause = &self.formula.clauses()[clause_idx];
+                let clause = self.formula.clause(clause_idx);
                 let mut unassigned: Option<Lit> = None;
                 let mut open = 0usize;
                 let mut satisfied = false;
-                for &l in clause.lits() {
+                for &l in clause {
                     match self.lit_true(l) {
                         Some(true) => {
                             satisfied = true;
@@ -369,7 +369,7 @@ impl<'f> Propagator<'f> {
         let mut scores = vec![0.0f64; self.values.len()];
         for clause in self.formula.iter() {
             let weight = 2.0f64.powi(-(clause.len().min(30) as i32));
-            for &lit in clause.lits() {
+            for &lit in clause {
                 scores[lit.var().index() as usize] += weight;
             }
         }

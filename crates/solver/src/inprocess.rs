@@ -703,6 +703,23 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "removed by bounded variable elimination")]
+    fn adding_a_normal_clause_over_an_eliminated_variable_panics() {
+        let f = formula(&[vec![1, 2], vec![-1, 3], vec![2, 4], vec![-3, 5, 6]]);
+        let mut s = inprocessing_solver(&f);
+        assert!(s.solve().is_sat());
+        let gone = (0..f.num_vars())
+            .map(Var::new)
+            .find(|&v| s.is_eliminated(v))
+            .expect("BVE eliminates a variable");
+        // Sorted, over allocated variables: only the elimination keeps
+        // this clause off the copy-free loading path.
+        let fresh = Var::new(f.num_vars());
+        s.ensure_vars(f.num_vars() + 1);
+        s.add_clause(&[Lit::positive(gone), Lit::positive(fresh)]);
+    }
+
+    #[test]
     fn frozen_variables_survive_elimination() {
         let f = formula(&[vec![1, 2], vec![-1, 3], vec![2, 4], vec![-3, 5, 6]]);
         let mut s = inprocessing_solver(&f);

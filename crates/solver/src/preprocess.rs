@@ -11,7 +11,7 @@
 //! preprocessing can already discharge (e.g. symmetry-breaking negations
 //! turn many direct/muldirect clauses into units).
 
-use satroute_cnf::{Assignment, CnfFormula, Lit, Var};
+use satroute_cnf::{Assignment, Clause, CnfFormula, Lit, Var};
 
 use crate::outcome::SolveOutcome;
 use crate::CdclSolver;
@@ -89,7 +89,7 @@ pub fn preprocess(formula: &CnfFormula) -> (Simplification, PreprocessStats) {
     // Working clause set, cleaned of tautologies and duplicate literals.
     let mut clauses: Vec<Vec<Lit>> = Vec::with_capacity(formula.num_clauses());
     for clause in formula {
-        let mut c = clause.clone();
+        let mut c = Clause::from(clause.to_vec());
         c.dedup();
         if c.is_tautology() {
             stats.removed_clauses += 1;

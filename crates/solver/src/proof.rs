@@ -145,11 +145,7 @@ impl DratProof {
     /// [`CheckProofError::NoEmptyClause`] if the refutation never
     /// completes.
     pub fn check(&self, formula: &CnfFormula) -> Result<(), CheckProofError> {
-        let mut db: Vec<Vec<Lit>> = formula
-            .clauses()
-            .iter()
-            .map(|c| c.lits().to_vec())
-            .collect();
+        let mut db: Vec<Vec<Lit>> = formula.iter().map(<[Lit]>::to_vec).collect();
         let mut num_vars = formula.num_vars();
         for step in &self.steps {
             if let ProofStep::Add(lits) = step {
@@ -277,11 +273,7 @@ impl DratProof {
 /// fall back to a full refutation of `formula ∧ ¬clause` when it is
 /// inconclusive.
 pub fn rup_implied(formula: &CnfFormula, clause: &[Lit]) -> bool {
-    let db: Vec<Vec<Lit>> = formula
-        .clauses()
-        .iter()
-        .map(|c| c.lits().to_vec())
-        .collect();
+    let db: Vec<Vec<Lit>> = formula.iter().map(<[Lit]>::to_vec).collect();
     let num_vars = clause
         .iter()
         .map(|l| l.var().index() + 1)
