@@ -430,8 +430,12 @@ impl<'a> ConquerRequest<'a> {
                     // fullest peer). Cubes only leave deques by being
                     // claimed, and every claimed cube sends exactly one
                     // report — even post-cancellation, where the solve
-                    // returns immediately with `Cancelled`.
-                    let (cube_idx, stolen) = match lock_unpoisoned(&deques[worker]).pop_front() {
+                    // returns immediately with `Cancelled`. The own-deque
+                    // guard is dropped before stealing: a worker that
+                    // held it while locking peers could deadlock with a
+                    // peer stealing back.
+                    let own = lock_unpoisoned(&deques[worker]).pop_front();
+                    let (cube_idx, stolen) = match own {
                         Some(idx) => (idx, false),
                         None => match steal(deques, worker) {
                             Some(idx) => (idx, true),
