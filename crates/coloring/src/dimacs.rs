@@ -85,7 +85,10 @@ fn syntax(line: usize, message: impl Into<String>) -> ParseColError {
 /// Returns [`ParseColError`] on I/O failure or malformed content.
 pub fn parse_col<R: Read>(reader: R) -> Result<CspGraph, ParseColError> {
     let reader = BufReader::new(reader);
-    let mut graph: Option<CspGraph> = None;
+    // Edges are collected and the graph built once at the end, so dense
+    // files in any edge order load in O(m log m).
+    let mut vertices: Option<usize> = None;
+    let mut edges: Vec<(u32, u32)> = Vec::new();
 
     for (idx, line) in reader.lines().enumerate() {
         let line_no = idx + 1;
@@ -97,7 +100,7 @@ pub fn parse_col<R: Read>(reader: R) -> Result<CspGraph, ParseColError> {
         let mut parts = trimmed.split_whitespace();
         match parts.next() {
             Some("p") => {
-                if graph.is_some() {
+                if vertices.is_some() {
                     return Err(syntax(line_no, "duplicate problem header"));
                 }
                 let format = parts.next();
@@ -112,12 +115,10 @@ pub fn parse_col<R: Read>(reader: R) -> Result<CspGraph, ParseColError> {
                     .next()
                     .and_then(|s| s.parse().ok())
                     .ok_or_else(|| syntax(line_no, "bad edge count"))?;
-                graph = Some(CspGraph::new(n));
+                vertices = Some(n);
             }
             Some("e") => {
-                let g = graph
-                    .as_mut()
-                    .ok_or_else(|| syntax(line_no, "edge before `p edge` header"))?;
+                let n = vertices.ok_or_else(|| syntax(line_no, "edge before `p edge` header"))?;
                 let u: u32 = parts
                     .next()
                     .and_then(|s| s.parse().ok())
@@ -133,13 +134,13 @@ pub fn parse_col<R: Read>(reader: R) -> Result<CspGraph, ParseColError> {
                     return Err(syntax(line_no, format!("self-loop on vertex {u}")));
                 }
                 let (u0, v0) = (u - 1, v - 1);
-                if (u0 as usize) >= g.num_vertices() || (v0 as usize) >= g.num_vertices() {
+                if (u0 as usize) >= n || (v0 as usize) >= n {
                     return Err(syntax(
                         line_no,
                         format!("edge ({u}, {v}) exceeds declared vertex count"),
                     ));
                 }
-                g.add_edge(u0, v0);
+                edges.push((u0, v0));
             }
             Some(other) => {
                 return Err(syntax(line_no, format!("unknown line type `{other}`")));
@@ -148,7 +149,8 @@ pub fn parse_col<R: Read>(reader: R) -> Result<CspGraph, ParseColError> {
         }
     }
 
-    graph.ok_or_else(|| syntax(0, "missing `p edge` header"))
+    let n = vertices.ok_or_else(|| syntax(0, "missing `p edge` header"))?;
+    Ok(CspGraph::from_edges(n, edges))
 }
 
 /// Parses a DIMACS `.col` document from a string.
@@ -220,6 +222,25 @@ mod tests {
         assert!(parse_col_str("p edge 2 1\nq 1 2\n").is_err());
         assert!(parse_col_str("p edge 2 1\np edge 2 1\n").is_err());
         assert!(parse_col_str("p foo 2 1\n").is_err());
+    }
+
+    #[test]
+    fn dense_shuffled_file_loads_like_from_edges() {
+        let n = 200u32;
+        let mut text = format!("p edge {n} 0\n");
+        let mut edges = Vec::new();
+        // Descending, both orientations: the worst order for insertion.
+        for u in (0..n).rev() {
+            for v in (0..u).rev() {
+                if (u * 31 + v * 17) % 3 != 0 {
+                    text.push_str(&format!("e {} {}\ne {} {}\n", u + 1, v + 1, v + 1, u + 1));
+                    edges.push((u, v));
+                }
+            }
+        }
+        let g = parse_col_str(&text).unwrap();
+        assert_eq!(g, CspGraph::from_edges(n as usize, edges));
+        assert!(g.has_exact_lists());
     }
 
     #[test]

@@ -1,6 +1,5 @@
 //! The CSP constraint graph.
 
-use std::collections::BTreeSet;
 use std::fmt;
 
 /// An undirected simple graph representing a graph-coloring CSP.
@@ -27,8 +26,8 @@ use std::fmt;
 /// ```
 #[derive(Clone, PartialEq, Eq, Default)]
 pub struct CspGraph {
-    /// Sorted adjacency sets, one per vertex.
-    adjacency: Vec<BTreeSet<u32>>,
+    /// Sorted, duplicate-free adjacency lists, one per vertex.
+    adjacency: Vec<Vec<u32>>,
     num_edges: usize,
 }
 
@@ -36,22 +35,54 @@ impl CspGraph {
     /// Creates a graph with `n` vertices and no edges.
     pub fn new(n: usize) -> Self {
         CspGraph {
-            adjacency: vec![BTreeSet::new(); n],
+            adjacency: vec![Vec::new(); n],
             num_edges: 0,
         }
     }
 
-    /// Creates a graph from an edge list.
+    /// Creates a graph from an edge list. Duplicate edges (in either
+    /// orientation) are ignored.
+    ///
+    /// The list is sorted once and each adjacency list is filled in
+    /// ascending order at its final size, so construction costs
+    /// O(m log m) whatever the input order — unlike repeated
+    /// [`CspGraph::add_edge`] calls, which shift list tails on
+    /// out-of-order inserts.
     ///
     /// # Panics
     ///
     /// Panics if an edge references a vertex `>= n` or is a self-loop.
     pub fn from_edges<I: IntoIterator<Item = (u32, u32)>>(n: usize, edges: I) -> Self {
-        let mut g = CspGraph::new(n);
-        for (u, v) in edges {
-            g.add_edge(u, v);
+        let mut pairs: Vec<(u32, u32)> = edges
+            .into_iter()
+            .map(|(u, v)| {
+                assert_ne!(u, v, "self-loops are not allowed (vertex {u})");
+                assert!(
+                    (u as usize) < n && (v as usize) < n,
+                    "edge ({u}, {v}) references a vertex >= {n}"
+                );
+                (u.min(v), u.max(v))
+            })
+            .collect();
+        pairs.sort_unstable();
+        pairs.dedup();
+        let mut degree = vec![0usize; n];
+        for &(u, v) in &pairs {
+            degree[u as usize] += 1;
+            degree[v as usize] += 1;
         }
-        g
+        let mut adjacency: Vec<Vec<u32>> = degree.into_iter().map(Vec::with_capacity).collect();
+        // Pairs ascend by (u, v), so vertex x first meets the pairs (u, x)
+        // with u < x in ascending u, then the pairs (x, w) in ascending w:
+        // every list comes out sorted.
+        for &(u, v) in &pairs {
+            adjacency[u as usize].push(v);
+            adjacency[v as usize].push(u);
+        }
+        CspGraph {
+            adjacency,
+            num_edges: pairs.len(),
+        }
     }
 
     /// Number of vertices.
@@ -78,19 +109,23 @@ impl CspGraph {
             (u as usize) < n && (v as usize) < n,
             "edge ({u}, {v}) references a vertex >= {n}"
         );
-        let inserted = self.adjacency[u as usize].insert(v);
-        if inserted {
-            self.adjacency[v as usize].insert(u);
-            self.num_edges += 1;
-        }
-        inserted
+        let adj_u = &mut self.adjacency[u as usize];
+        let Err(at) = adj_u.binary_search(&v) else {
+            return false;
+        };
+        adj_u.insert(at, v);
+        let adj_v = &mut self.adjacency[v as usize];
+        let at = adj_v.binary_search(&u).expect_err("adjacency is symmetric");
+        adj_v.insert(at, u);
+        self.num_edges += 1;
+        true
     }
 
     /// Returns `true` if the edge `(u, v)` exists.
     pub fn has_edge(&self, u: u32, v: u32) -> bool {
         self.adjacency
             .get(u as usize)
-            .is_some_and(|adj| adj.contains(&v))
+            .is_some_and(|adj| adj.binary_search(&v).is_ok())
     }
 
     /// Degree of vertex `v`.
@@ -115,9 +150,9 @@ impl CspGraph {
     pub fn edges(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
         self.adjacency.iter().enumerate().flat_map(|(u, adj)| {
             let u = u as u32;
-            adj.iter()
-                .copied()
-                .filter_map(move |v| if u < v { Some((u, v)) } else { None })
+            adj[adj.partition_point(|&v| v < u)..]
+                .iter()
+                .map(move |&v| (u, v))
         })
     }
 
@@ -158,6 +193,15 @@ impl CspGraph {
     }
 }
 
+#[cfg(test)]
+impl CspGraph {
+    /// `true` if every adjacency list sits in an allocation of exactly its
+    /// length: the mark of a bulk build that never inserted into a list.
+    pub(crate) fn has_exact_lists(&self) -> bool {
+        self.adjacency.iter().all(|adj| adj.capacity() == adj.len())
+    }
+}
+
 impl fmt::Debug for CspGraph {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -171,6 +215,12 @@ impl fmt::Debug for CspGraph {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeSet;
+
+    use rand::rngs::StdRng;
+    use rand::seq::SliceRandom;
+    use rand::{Rng, SeedableRng};
+
     use super::*;
 
     #[test]
@@ -231,6 +281,66 @@ mod tests {
                 assert!(g.has_edge(clique[i], clique[j]));
             }
         }
+    }
+
+    /// A seeded random edge list over `n` vertices with every edge listed
+    /// in both orientations and some listed twice, in shuffled order.
+    fn shuffled_edges(n: u32, seed: u64) -> Vec<(u32, u32)> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut edges = Vec::new();
+        for u in 0..n {
+            for v in (u + 1)..n {
+                if rng.gen_bool(0.3) {
+                    edges.push((u, v));
+                    edges.push((v, u));
+                    if rng.gen_bool(0.2) {
+                        edges.push((u, v));
+                    }
+                }
+            }
+        }
+        edges.shuffle(&mut rng);
+        edges
+    }
+
+    #[test]
+    fn lists_stay_sorted_and_duplicate_free_under_shuffled_inserts() {
+        for seed in 0..8u64 {
+            let n = 5 + 7 * seed as u32;
+            let edges = shuffled_edges(n, seed);
+            let distinct: BTreeSet<(u32, u32)> =
+                edges.iter().map(|&(u, v)| (u.min(v), u.max(v))).collect();
+            let mut incremental = CspGraph::new(n as usize);
+            for &(u, v) in &edges {
+                incremental.add_edge(u, v);
+            }
+            let bulk = CspGraph::from_edges(n as usize, edges.iter().copied());
+            assert_eq!(incremental, bulk, "seed {seed}");
+            for g in [&incremental, &bulk] {
+                for adj in &g.adjacency {
+                    assert!(adj.windows(2).all(|w| w[0] < w[1]), "seed {seed}");
+                }
+                assert_eq!(g.num_edges(), distinct.len(), "seed {seed}");
+                let listed: Vec<(u32, u32)> = g.edges().collect();
+                assert_eq!(listed, distinct.iter().copied().collect::<Vec<_>>());
+            }
+        }
+    }
+
+    #[test]
+    fn from_edges_fills_each_list_once_at_its_final_size() {
+        // Reverse order is the worst case for sorted insertion; the bulk
+        // build never inserts, so no list grows past its degree.
+        let n = 300u32;
+        let mut edges = Vec::new();
+        for u in (0..n).rev() {
+            for v in (0..u).rev() {
+                edges.push((u, v));
+            }
+        }
+        let g = CspGraph::from_edges(n as usize, edges);
+        assert_eq!(g.num_edges(), (n * (n - 1) / 2) as usize);
+        assert!(g.has_exact_lists());
     }
 
     #[test]

@@ -119,38 +119,52 @@ pub fn greedy_coloring_capped(graph: &CspGraph, k: u32, order: &[u32]) -> Option
 }
 
 /// DSATUR coloring (Brélaz): repeatedly colors the vertex with the highest
-/// saturation (number of distinct neighbor colors), breaking ties by degree.
+/// saturation (number of distinct neighbor colors), breaking ties by degree
+/// and then by taking the highest-numbered vertex.
 ///
 /// Usually produces tighter bounds than [`greedy_coloring`]; it is the
 /// upper-bound oracle used when calibrating benchmark channel widths.
 pub fn dsatur_coloring(graph: &CspGraph) -> Coloring {
+    const UNCOLORED: u32 = u32::MAX;
     let n = graph.num_vertices();
-    let mut colors: Vec<Option<u32>> = vec![None; n];
-    let mut neighbor_colors: Vec<std::collections::BTreeSet<u32>> =
-        vec![std::collections::BTreeSet::new(); n];
+    // A vertex never gets a color above its degree, so `max_degree + 1`
+    // flags per vertex record every color its neighbors can hold.
+    let row = (graph.max_degree() + 1).div_ceil(64);
+    let mut neighbor_colors: Vec<u64> = vec![0; n * row];
+    let mut saturation: Vec<u32> = vec![0; n];
+    let mut colors: Vec<u32> = vec![UNCOLORED; n];
 
     for _ in 0..n {
-        // Pick the uncolored vertex with max (saturation, degree).
-        let v = (0..n as u32)
-            .filter(|&v| colors[v as usize].is_none())
-            .max_by_key(|&v| (neighbor_colors[v as usize].len(), graph.degree(v)))
-            .expect("at least one uncolored vertex remains");
-        let mut color = 0u32;
-        while neighbor_colors[v as usize].contains(&color) {
-            color += 1;
+        // The uncolored vertex with max (saturation, degree); `>=` keeps the
+        // last of equal keys, as `Iterator::max_by_key` does.
+        let (mut best_key, mut v) = (0u64, usize::MAX);
+        for (u, &color) in colors.iter().enumerate() {
+            if color == UNCOLORED {
+                let key = u64::from(saturation[u]) << 32 | graph.degree(u as u32) as u64;
+                if key >= best_key {
+                    (best_key, v) = (key, u);
+                }
+            }
         }
-        colors[v as usize] = Some(color);
-        for w in graph.neighbors(v) {
-            neighbor_colors[w as usize].insert(color);
+        let flags = &neighbor_colors[v * row..(v + 1) * row];
+        let word = flags
+            .iter()
+            .position(|&w| w != u64::MAX)
+            .expect("a vertex always has a free color at or below its degree");
+        let color = (word * 64) as u32 + flags[word].trailing_ones();
+        colors[v] = color;
+        let (word, bit) = (color as usize / 64, 1u64 << (color % 64));
+        for w in graph.neighbors(v as u32) {
+            let w = w as usize;
+            let flags = &mut neighbor_colors[w * row + word];
+            if *flags & bit == 0 {
+                *flags |= bit;
+                saturation[w] += 1;
+            }
         }
     }
 
-    Coloring::from_colors(
-        colors
-            .into_iter()
-            .map(|c| c.expect("all colored"))
-            .collect(),
-    )
+    Coloring::from_colors(colors)
 }
 
 #[cfg(test)]

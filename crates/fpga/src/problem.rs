@@ -180,29 +180,42 @@ impl RoutingProblem {
     /// emitted once per pair even when they share several segments.
     pub fn conflict_graph(&self) -> CspGraph {
         let routes = self.routing.routes();
-        let mut graph = CspGraph::new(routes.len());
 
-        // Invert: segment -> subnets through it.
+        // Invert: segment -> subnets through it, in subnet order. A path
+        // that revisits a segment is listed there once: the last subnet a
+        // segment listed is the stamp.
         let mut through: Vec<Vec<u32>> = vec![Vec::new(); self.arch.num_segments()];
         for (i, route) in routes.iter().enumerate() {
-            let mut seen_segments = std::collections::HashSet::new();
             for &seg in &route.path {
-                if seen_segments.insert(seg) {
-                    through[self.arch.segment_index(seg)].push(i as u32);
+                let listed = &mut through[self.arch.segment_index(seg)];
+                if listed.last() != Some(&(i as u32)) {
+                    listed.push(i as u32);
                 }
             }
         }
 
-        for subnets in &through {
-            for (a_pos, &a) in subnets.iter().enumerate() {
-                for &b in &subnets[a_pos + 1..] {
-                    if routes[a as usize].subnet.net != routes[b as usize].subnet.net {
-                        graph.add_edge(a, b);
+        // Each subnet a meets its higher-numbered conflicts b through the
+        // segments of its path; `met_by[b] == a` marks b as already met,
+        // so every edge is listed once, already in ascending order.
+        let mut edges: Vec<(u32, u32)> = Vec::new();
+        let mut met_by: Vec<u32> = vec![u32::MAX; routes.len()];
+        let mut row: Vec<u32> = Vec::new();
+        for (a, route) in routes.iter().enumerate() {
+            let a = a as u32;
+            for &seg in &route.path {
+                let listed = &through[self.arch.segment_index(seg)];
+                for &b in &listed[listed.partition_point(|&b| b <= a)..] {
+                    if met_by[b as usize] != a && routes[b as usize].subnet.net != route.subnet.net
+                    {
+                        met_by[b as usize] = a;
+                        row.push(b);
                     }
                 }
             }
+            row.sort_unstable();
+            edges.extend(row.drain(..).map(|b| (a, b)));
         }
-        graph
+        CspGraph::from_edges(routes.len(), edges)
     }
 
     /// [`RoutingProblem::conflict_graph`] wrapped in a `graph_generation`
@@ -252,12 +265,14 @@ impl RoutingProblem {
         }
         // Check conflicts segment by segment (independently of the conflict
         // graph, so this doubles as a test oracle for `conflict_graph`).
+        // Subnets are listed in index order, so a segment has already
+        // listed subnet i exactly when i is the last subnet it listed.
         let mut through: Vec<Vec<u32>> = vec![Vec::new(); self.arch.num_segments()];
         for (i, route) in routes.iter().enumerate() {
             for &seg in &route.path {
-                let idx = self.arch.segment_index(seg);
-                if !through[idx].contains(&(i as u32)) {
-                    through[idx].push(i as u32);
+                let listed = &mut through[self.arch.segment_index(seg)];
+                if listed.last() != Some(&(i as u32)) {
+                    listed.push(i as u32);
                 }
             }
         }

@@ -5,13 +5,25 @@
 //! gets a shortest path through the channel-segment graph, with segment
 //! costs that grow with present congestion, followed by rip-up-and-reroute
 //! refinement passes. The router is deterministic.
+//!
+//! # Search cost
+//!
+//! One [`GlobalRouter::route`] call builds the segment adjacency once, in
+//! [`Architecture::neighbors`] order, and runs every subnet's Dijkstra
+//! search on one reused state: distances, predecessors, the list of
+//! segments the last search touched (only those are reset) and the
+//! priority queue, a radix heap. The queue pops in (distance, segment
+//! index) order, a total order, so each search — and therefore every
+//! path — is the one a binary heap over fresh state would give. Costs
+//! saturate at `u64::MAX` instead of overflowing, so any congestion
+//! weight routes.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::error::Error;
 use std::fmt;
 
-use crate::{decompose, Architecture, DecompositionStyle, Netlist, Segment, Subnet};
+use crate::{decompose, Architecture, DecompositionStyle, NetId, Netlist, Segment, Subnet};
 
 /// The global route of one 2-pin subnet: the ordered channel segments it
 /// passes through, from the source pin's connection block to the sink's.
@@ -85,14 +97,23 @@ impl GlobalRouting {
     /// Maximum number of *distinct nets* passing through any one segment —
     /// a lower bound on the channel width required by this global routing.
     pub fn max_segment_congestion(&self, arch: &Architecture) -> usize {
-        let mut nets_per_segment: Vec<std::collections::BTreeSet<u32>> =
-            vec![std::collections::BTreeSet::new(); arch.num_segments()];
-        for route in &self.routes {
+        // Visiting the routes net by net lets a per-segment "last net
+        // counted" stamp count each net once, whatever the route order.
+        let mut by_net: Vec<&SubnetRoute> = self.routes.iter().collect();
+        by_net.sort_by_key(|r| r.subnet.net);
+        let mut last_net: Vec<Option<NetId>> = vec![None; arch.num_segments()];
+        let mut nets: Vec<usize> = vec![0; arch.num_segments()];
+        for route in by_net {
+            let net = Some(route.subnet.net);
             for &seg in &route.path {
-                nets_per_segment[arch.segment_index(seg)].insert(route.subnet.net.0);
+                let idx = arch.segment_index(seg);
+                if last_net[idx] != net {
+                    last_net[idx] = net;
+                    nets[idx] += 1;
+                }
             }
         }
-        nets_per_segment.iter().map(|s| s.len()).max().unwrap_or(0)
+        nets.into_iter().max().unwrap_or(0)
     }
 }
 
@@ -196,10 +217,11 @@ impl GlobalRouter {
         netlist: &Netlist,
     ) -> Result<GlobalRouting, RouteError> {
         let subnets = decompose(netlist, self.style);
-        let n_seg = arch.num_segments();
+        let graph = SegmentGraph::new(arch);
+        let mut search = MazeSearch::new(arch.num_segments());
         // usage[s] = number of subnets currently routed through segment s.
-        let mut usage: Vec<u64> = vec![0; n_seg];
-        let mut paths: Vec<Option<Vec<Segment>>> = vec![None; subnets.len()];
+        let mut usage: Vec<u64> = vec![0; arch.num_segments()];
+        let mut paths: Vec<Vec<u32>> = vec![Vec::new(); subnets.len()];
 
         // Route longer subnets first: they have fewer detour options.
         let mut order: Vec<usize> = (0..subnets.len()).collect();
@@ -210,20 +232,28 @@ impl GlobalRouter {
             (Reverse(dx + dy), i)
         });
 
-        for pass in 0..=self.ripup_passes {
+        for _ in 0..=self.ripup_passes {
             for &i in &order {
-                if pass > 0 {
-                    if let Some(old) = paths[i].take() {
-                        for seg in &old {
-                            usage[arch.segment_index(*seg)] -= 1;
-                        }
-                    }
+                // Rip up the previous pass's route (empty on the first).
+                for &seg in &paths[i] {
+                    usage[seg as usize] -= 1;
                 }
-                let path = self.maze_route(arch, subnets[i], &usage)?;
-                for seg in &path {
-                    usage[arch.segment_index(*seg)] += 1;
+                let subnet = subnets[i];
+                let src = arch.pin_segment(subnet.from.x, subnet.from.y, subnet.from.side);
+                let dst = arch.pin_segment(subnet.to.x, subnet.to.y, subnet.to.side);
+                let found = search.run(
+                    &graph,
+                    arch.segment_index(src),
+                    arch.segment_index(dst),
+                    |idx| 1u64.saturating_add(self.congestion_weight.saturating_mul(usage[idx])),
+                    &mut paths[i],
+                );
+                if !found {
+                    return Err(RouteError::NoPath(subnet));
                 }
-                paths[i] = Some(path);
+                for &seg in &paths[i] {
+                    usage[seg as usize] += 1;
+                }
             }
         }
 
@@ -232,67 +262,193 @@ impl GlobalRouter {
             .zip(paths)
             .map(|(subnet, path)| SubnetRoute {
                 subnet,
-                path: path.expect("all subnets routed"),
+                path: path
+                    .iter()
+                    .map(|&idx| arch.segment_at(idx as usize))
+                    .collect(),
             })
             .collect();
         Ok(GlobalRouting::new(routes))
     }
+}
 
-    /// Dijkstra over the segment graph with congestion-aware costs.
-    fn maze_route(
-        &self,
-        arch: &Architecture,
-        subnet: Subnet,
-        usage: &[u64],
-    ) -> Result<Vec<Segment>, RouteError> {
-        let src = arch.pin_segment(subnet.from.x, subnet.from.y, subnet.from.side);
-        let dst = arch.pin_segment(subnet.to.x, subnet.to.y, subnet.to.side);
-        let src_idx = arch.segment_index(src);
-        let dst_idx = arch.segment_index(dst);
+/// The switch-block adjacency of every segment, by dense segment index, in
+/// [`Architecture::neighbors`] order.
+struct SegmentGraph {
+    /// `targets[start[i]..start[i + 1]]` are segment `i`'s neighbors.
+    start: Vec<u32>,
+    targets: Vec<u32>,
+}
 
-        let n = arch.num_segments();
-        let mut dist: Vec<u64> = vec![u64::MAX; n];
-        let mut prev: Vec<usize> = vec![usize::MAX; n];
-        let mut heap: BinaryHeap<Reverse<(u64, usize)>> = BinaryHeap::new();
+impl SegmentGraph {
+    fn new(arch: &Architecture) -> Self {
+        assert!(
+            arch.num_segments() < MazeSearch::UNREACHED as usize,
+            "{arch} has too many segments for 32-bit segment indices"
+        );
+        let mut start = Vec::with_capacity(arch.num_segments() + 1);
+        let mut targets = Vec::with_capacity(6 * arch.num_segments());
+        start.push(0);
+        for seg in arch.segments() {
+            targets.extend(
+                arch.neighbors(seg)
+                    .into_iter()
+                    .map(|n| arch.segment_index(n) as u32),
+            );
+            start.push(targets.len() as u32);
+        }
+        SegmentGraph { start, targets }
+    }
 
-        let enter_cost = |idx: usize| 1 + self.congestion_weight * usage[idx];
-        dist[src_idx] = enter_cost(src_idx);
-        heap.push(Reverse((dist[src_idx], src_idx)));
+    fn neighbors(&self, idx: usize) -> &[u32] {
+        &self.targets[self.start[idx] as usize..self.start[idx + 1] as usize]
+    }
+}
 
-        while let Some(Reverse((d, idx))) = heap.pop() {
-            if d > dist[idx] {
+/// Dijkstra state shared by the searches of one routing call; each search
+/// resets only the entries the previous one touched.
+struct MazeSearch {
+    dist: Vec<u64>,
+    /// Predecessor on the best known path; [`MazeSearch::UNREACHED`] until
+    /// the segment is reached, and the source points at itself. Reachedness
+    /// lives here rather than in `dist` because saturated costs make
+    /// `u64::MAX` a real distance.
+    prev: Vec<u32>,
+    touched: Vec<u32>,
+    queue: RadixQueue,
+}
+
+impl MazeSearch {
+    const UNREACHED: u32 = u32::MAX;
+
+    fn new(num_segments: usize) -> Self {
+        MazeSearch {
+            dist: vec![0; num_segments],
+            prev: vec![Self::UNREACHED; num_segments],
+            touched: Vec::new(),
+            queue: RadixQueue::new(),
+        }
+    }
+
+    /// Records `idx` as reached at distance `d` through `from`.
+    fn reach(&mut self, idx: usize, d: u64, from: u32) {
+        if self.prev[idx] == Self::UNREACHED {
+            self.touched.push(idx as u32);
+        }
+        self.dist[idx] = d;
+        self.prev[idx] = from;
+        self.queue.push(d, idx as u32);
+    }
+
+    /// Finds a cheapest segment path from `src` to `dst`, where entering
+    /// segment `i` (the source included) costs `enter_cost(i)`, and writes
+    /// it into `path` as segment indices. Returns `false` if `dst` is
+    /// unreachable.
+    fn run(
+        &mut self,
+        graph: &SegmentGraph,
+        src: usize,
+        dst: usize,
+        enter_cost: impl Fn(usize) -> u64,
+        path: &mut Vec<u32>,
+    ) -> bool {
+        for &idx in &self.touched {
+            self.prev[idx as usize] = Self::UNREACHED;
+        }
+        self.touched.clear();
+        self.queue.clear();
+
+        self.reach(src, enter_cost(src), src as u32);
+        while let Some((d, idx)) = self.queue.pop() {
+            let idx = idx as usize;
+            if d > self.dist[idx] {
                 continue;
             }
-            if idx == dst_idx {
+            if idx == dst {
                 break;
             }
-            let seg = arch.segment_at(idx);
-            for next in arch.neighbors(seg) {
-                let next_idx = arch.segment_index(next);
-                let nd = d + enter_cost(next_idx);
-                if nd < dist[next_idx] {
-                    dist[next_idx] = nd;
-                    prev[next_idx] = idx;
-                    heap.push(Reverse((nd, next_idx)));
+            for &next in graph.neighbors(idx) {
+                let next = next as usize;
+                let nd = d.saturating_add(enter_cost(next));
+                if self.prev[next] == Self::UNREACHED || nd < self.dist[next] {
+                    self.reach(next, nd, idx as u32);
                 }
             }
         }
 
-        if dist[dst_idx] == u64::MAX {
-            return Err(RouteError::NoPath(subnet));
+        path.clear();
+        if self.prev[dst] == Self::UNREACHED {
+            return false;
         }
-        let mut path = Vec::new();
-        let mut cur = dst_idx;
+        let mut cur = dst;
         loop {
-            path.push(arch.segment_at(cur));
-            if cur == src_idx {
+            path.push(cur as u32);
+            if cur == src {
                 break;
             }
-            cur = prev[cur];
-            debug_assert_ne!(cur, usize::MAX, "broken predecessor chain");
+            cur = self.prev[cur] as usize;
         }
         path.reverse();
-        Ok(path)
+        true
+    }
+}
+
+/// A monotone priority queue of `(distance, segment index)` entries (a
+/// radix heap). It pops in ascending (distance, index) order, like a binary
+/// heap of the pairs would, provided no distance below the last one popped
+/// is pushed — Dijkstra never does, as costs are positive and saturate
+/// rather than wrap. Memory is bounded by the entries held, whatever the
+/// distances.
+struct RadixQueue {
+    /// The distance of the last refill; every held distance is `>= last`.
+    last: u64,
+    /// The segments at distance `last`, smallest index on top.
+    current: BinaryHeap<Reverse<u32>>,
+    /// `buckets[b]` holds the entries whose highest bit differing from
+    /// `last` is bit `b`.
+    buckets: [Vec<(u64, u32)>; 64],
+}
+
+impl RadixQueue {
+    fn new() -> Self {
+        RadixQueue {
+            last: 0,
+            current: BinaryHeap::new(),
+            buckets: std::array::from_fn(|_| Vec::new()),
+        }
+    }
+
+    fn clear(&mut self) {
+        self.last = 0;
+        self.current.clear();
+        self.buckets.iter_mut().for_each(Vec::clear);
+    }
+
+    fn push(&mut self, d: u64, idx: u32) {
+        debug_assert!(d >= self.last, "distance {d} below {}", self.last);
+        match d ^ self.last {
+            // Only a saturated distance can equal the one being popped.
+            0 => self.current.push(Reverse(idx)),
+            diff => self.buckets[diff.ilog2() as usize].push((d, idx)),
+        }
+    }
+
+    fn pop(&mut self) -> Option<(u64, u32)> {
+        if self.current.is_empty() {
+            // The lowest non-empty bucket holds the smallest distances; its
+            // entries all land in lower buckets (or `current`) once `last`
+            // is their minimum.
+            let b = self.buckets.iter().position(|v| !v.is_empty())?;
+            let mut refill = std::mem::take(&mut self.buckets[b]);
+            self.last = refill.iter().map(|&(d, _)| d).min().expect("non-empty");
+            for &(d, idx) in &refill {
+                self.push(d, idx);
+            }
+            refill.clear();
+            self.buckets[b] = refill;
+        }
+        let Reverse(idx) = self.current.pop()?;
+        Some((self.last, idx))
     }
 }
 
@@ -373,6 +529,80 @@ mod tests {
             spread.max_segment_congestion(&arch) <= flat.max_segment_congestion(&arch),
             "negotiation should not make congestion worse"
         );
+    }
+
+    #[test]
+    fn saturating_costs_route_any_congestion_weight() {
+        // 60 nets on a 200-pin fabric: most segments carry several nets, so
+        // `weight * usage` and the path sums pass `u64::MAX`.
+        let arch = Architecture::new(10, 5).unwrap();
+        let nl = Netlist::random(&arch, 60, 2..=3, 5).unwrap();
+        for weight in [u64::MAX, u64::MAX / 3, 1 << 62] {
+            let routing = GlobalRouter::new()
+                .with_congestion_weight(weight)
+                .route(&arch, &nl)
+                .unwrap();
+            routing.validate(&arch).unwrap();
+            assert_eq!(
+                routing.len(),
+                nl.iter().map(|(_, n)| n.num_terminals() - 1).sum::<usize>()
+            );
+        }
+    }
+
+    #[test]
+    fn radix_queue_pops_like_a_binary_heap() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        // Dijkstra-shaped traffic: every push is above the last popped
+        // distance, or equal to it once distances saturate.
+        let mut radix = RadixQueue::new();
+        for seed in 0..16u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut heap: BinaryHeap<Reverse<(u64, u32)>> = BinaryHeap::new();
+            radix.clear();
+            let mut last = 0u64;
+            for _ in 0..3000 {
+                if heap.is_empty() || rng.gen_bool(0.55) {
+                    let step = match rng.gen_range(0u32..20) {
+                        0 => u64::MAX,
+                        1 => rng.gen_range(1u64..=u64::MAX / 2),
+                        _ => rng.gen_range(1u64..=40),
+                    };
+                    let entry = (last.saturating_add(step), rng.gen_range(0u32..64));
+                    radix.push(entry.0, entry.1);
+                    heap.push(Reverse(entry));
+                } else {
+                    let popped = radix.pop();
+                    assert_eq!(popped, heap.pop().map(|Reverse(e)| e), "seed {seed}");
+                    last = popped.expect("non-empty").0;
+                }
+            }
+            while let Some(Reverse(entry)) = heap.pop() {
+                assert_eq!(radix.pop(), Some(entry), "seed {seed}");
+            }
+            assert_eq!(radix.pop(), None);
+        }
+    }
+
+    #[test]
+    fn density_ignores_route_order() {
+        let arch = Architecture::new(6, 6).unwrap();
+        let nl = Netlist::random(&arch, 20, 2..=4, 3).unwrap();
+        let routing = GlobalRouter::new().route(&arch, &nl).unwrap();
+        let mut reversed = routing.routes().to_vec();
+        reversed.reverse();
+        let mut interleaved = routing.routes().to_vec();
+        interleaved.sort_by_key(|r| (r.path.len(), r.subnet.to.x));
+        let density = routing.max_segment_congestion(&arch);
+        assert!(density >= 2);
+        for routes in [reversed, interleaved] {
+            assert_eq!(
+                GlobalRouting::new(routes).max_segment_congestion(&arch),
+                density
+            );
+        }
     }
 
     #[test]
